@@ -324,8 +324,9 @@ func (r *RMPC) ForSession() Controller {
 }
 
 // ResetSession implements SessionResetter: it returns this handle's
-// warm-start workspace to its cold state (keeping the allocated tableau),
-// so a pooled handle behaves byte-identically to a fresh ForSession fork.
+// warm-start workspace to its cold state (keeping the allocated condensed
+// tableau, m rows × (nonbasic columns + rhs)), so a pooled handle behaves
+// byte-identically to a fresh ForSession fork.
 func (r *RMPC) ResetSession() { r.ws.sv.ResetWarm() }
 
 // computeTerminalSet returns the maximal robust invariant subset of X(N)

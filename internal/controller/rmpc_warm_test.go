@@ -3,8 +3,10 @@ package controller
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
+	"oic/internal/lp"
 	"oic/internal/mat"
 )
 
@@ -142,5 +144,82 @@ func TestRMPCComputeMatchesSequenceHead(t *testing.T) {
 	}
 	if !u.Equal(seq[0], 1e-12) {
 		t.Fatalf("Compute %v != sequence head %v", u, seq[0])
+	}
+}
+
+// rhsAt fills a copy of the horizon LP's right-hand side at state x.
+func rhsAt(t *testing.T, r *RMPC, x mat.Vec) []float64 {
+	t.Helper()
+	if _, err := r.solveAt(x); err != nil {
+		t.Fatal(err)
+	}
+	return append([]float64(nil), r.ws.rhs...)
+}
+
+// TestRMPCWarmSolveAllocatesNothing pins the hot path's allocation
+// contract: once a workspace has solved cold, warm resolves — including
+// ones that need dual-simplex pivots — allocate nothing.
+func TestRMPCWarmSolveAllocatesNothing(t *testing.T) {
+	r := accRMPC(t)
+	rhsA := rhsAt(t, r, mat.Vec{150, 40})
+	rhsB := rhsAt(t, r, mat.Vec{135, 47})
+	sv := r.ws.sv
+	flip := false
+	allocs := testing.AllocsPerRun(200, func() {
+		flip = !flip
+		rhs := rhsA
+		if flip {
+			rhs = rhsB
+		}
+		if sv.SolveRHS(rhs).Status != lp.Optimal {
+			t.Fatal("warm resolve not optimal")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm SolveRHS allocates %v times per call, want 0", allocs)
+	}
+	if st := sv.Stats(); st.Warm < 200 || st.WarmPivots == 0 {
+		t.Fatalf("resolves did not exercise warm pivots: %+v", st)
+	}
+}
+
+// TestRMPCWorkspaceFootprint bounds what a forked κ workspace keeps
+// resident after a cold and a warm solve: the condensed tableau of m rows
+// × (nonbasic columns + rhs) plus O(m + columns) vectors. Every variable of
+// the horizon LP is nonnegative and every row is ≤, so the program has m
+// rows and n + m columns, n of them nonbasic. The phase-1 scratch lives in
+// a shared pool and must not count.
+func TestRMPCWorkspaceFootprint(t *testing.T) {
+	r := accRMPC(t)
+	rhsA := rhsAt(t, r, mat.Vec{150, 40})
+	rhsB := rhsAt(t, r, mat.Vec{135, 47})
+	sv := r.prog.solver
+	m, n := sv.NumRows(), sv.NumVars()
+	total := n + m
+	const forks = 64
+	keep := make([]*lp.Solver, forks)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second cycle also empties the pools' victim caches
+	runtime.ReadMemStats(&before)
+	for i := range keep {
+		f := sv.Fork()
+		f.SolveRHS(rhsA)
+		f.SolveRHS(rhsB)
+		keep[i] = f
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	for _, f := range keep {
+		if st := f.Stats(); st.Cold != 1 || st.Warm != 1 {
+			t.Fatalf("fork did not solve cold then warm: %+v", st)
+		}
+	}
+	words := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / forks / 8
+	bound := float64(m*(total-m+1) + 8*(m+total))
+	t.Logf("m=%d n=%d: %.0f words per workspace (bound %.0f)", m, n, words, bound)
+	if words > bound {
+		t.Fatalf("forked workspace holds %.0f words, want ≤ m·(total−m+1) + O(m+total) = %.0f", words, bound)
 	}
 }

@@ -334,6 +334,11 @@ type TimingResult struct {
 // overhead on the headline scenario and applies the paper's accounting:
 //
 //	saving = (T_κ·n − (T_mon·n + T_κ·(n − skips))) / (T_κ·n).
+//
+// T_κ and T_mon are each the median over cases of that case's mean
+// wall-clock cost per call. Cases run concurrently, and a worker that
+// loses its CPU for a few milliseconds inflates one case's mean many times
+// over; the median keeps that case from setting the figure.
 func Timing(p plant.Plant, opt Options) (*TimingResult, error) {
 	opt = opt.withDefaults(p)
 	eng, err := engineFor(p, p.Headline().ID, opt, oic.PolicyDRL)
@@ -341,12 +346,15 @@ func Timing(p plant.Plant, opt Options) (*TimingResult, error) {
 		return nil, fmt.Errorf("exp: Timing(%s): %w", p.Name(), err)
 	}
 	res := &TimingResult{Plant: p.Name(), Opt: opt}
-	var ctrlRM, overheadDRL time.Duration
-	var callsRM, steps, skips int
+	var ctrlRM, overheadDRL []float64 // per case, ns per call
+	var steps, skips int
 	err = forEachCase(eng, true, opt, func(_ int, c *Case) error {
-		ctrlRM += c.CtrlTimeRM
-		callsRM += c.CtrlCallsRM
-		overheadDRL += c.OverheadDRL
+		if c.CtrlCallsRM > 0 {
+			ctrlRM = append(ctrlRM, float64(c.CtrlTimeRM)/float64(c.CtrlCallsRM))
+		}
+		if opt.Steps > 0 {
+			overheadDRL = append(overheadDRL, float64(c.OverheadDRL)/float64(opt.Steps))
+		}
 		steps += opt.Steps
 		skips += c.SkipsDRL
 		return nil
@@ -354,11 +362,11 @@ func Timing(p plant.Plant, opt Options) (*TimingResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if callsRM == 0 || steps == 0 {
+	if len(ctrlRM) == 0 || steps == 0 {
 		return nil, fmt.Errorf("exp: Timing: no data")
 	}
-	res.CtrlPerStep = ctrlRM / time.Duration(callsRM)
-	res.MonitorPerStep = overheadDRL / time.Duration(steps)
+	res.CtrlPerStep = time.Duration(stats.Percentile(ctrlRM, 50))
+	res.MonitorPerStep = time.Duration(stats.Percentile(overheadDRL, 50))
 	res.SkipsPer100 = float64(skips) * 100 / float64(steps)
 	tk := res.CtrlPerStep.Seconds()
 	tm := res.MonitorPerStep.Seconds()

@@ -1,4 +1,4 @@
-// Package lp implements a dense two-phase simplex solver for linear
+// Package lp implements a two-phase tableau simplex solver for linear
 // programs. It is the optimization kernel used by the polytope algebra
 // (support functions, emptiness, redundancy), the robust MPC controller
 // (1-norm objectives become LPs), and the branch-and-bound MIP solver.
@@ -9,9 +9,12 @@
 // prices with Dantzig's rule, falling back to Bland's rule to guarantee
 // termination on degenerate instances.
 //
-// The solver targets the small dense programs arising in this repository
-// (tens of variables, at most a few hundred rows); it favors clarity and
-// numerical robustness over large-scale performance.
+// The tableau is condensed: it stores only the nonbasic columns and the
+// rhs, m rows × (nonbasic + 1), because basic columns are exact unit
+// vectors. A pivot costs O(m·nonbasic), and a warm resolve's rhs
+// transform costs O(m·k) for the k nonbasic slack columns. The solver
+// targets the small dense programs arising in this repository (tens of
+// variables, at most a few hundred rows).
 package lp
 
 import (

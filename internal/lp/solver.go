@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // This file implements the compiled parametric solver behind Problem.Solve
 // and the hot resolve paths of the RMPC and MIP layers (DESIGN.md §5.3).
@@ -13,15 +16,25 @@ import "math"
 // O(rows) refresh instead of a full rebuild, and lets branch-and-bound
 // nodes share one compiled form.
 //
+// Condensed tableau: a basic column of a simplex tableau is an exact unit
+// vector (pivots write the 1 and the 0s explicitly), so only the nonbasic
+// columns and the rhs are stored — m rows × (nonbasic + 1) instead of
+// m × (all columns + artificials + 1). Every stored entry is computed by
+// exactly the arithmetic a full-tableau pivot would apply to it, and every
+// column scan runs in ascending column order through a sorted slot
+// permutation, so the condensed solver reproduces the full tableau's
+// pivots and answers bit for bit.
+//
 // Warm starts: for programs in which every row carries a slack column (no
 // equality rows — the shape of every polytope, RMPC, and MIP program in
-// this repository), the final tableau's slack block is B⁻¹ up to the
-// compiled slack signs. A new right-hand side therefore costs one O(m²)
-// basis transform; if the transformed column stays nonnegative the
-// previous basis is still optimal (zero pivots), otherwise the basis is
-// primal-infeasible but dual-feasible and a dual-simplex loop repairs it.
-// Any failure (iteration cap, basic artificials, equality rows) falls back
-// to the cold two-phase path, so warm starts never change solvability.
+// this repository), the tableau's slack columns are B⁻¹ up to the compiled
+// slack signs. A basic slack's column is a unit vector, so a new
+// right-hand side costs one O(m·k) transform through the k nonbasic slack
+// columns; if the transformed column stays nonnegative the previous basis
+// is still optimal (zero pivots), otherwise the basis is primal-infeasible
+// but dual-feasible and a dual-simplex loop repairs it. Any failure
+// (iteration cap, basic artificials, equality rows) falls back to the cold
+// two-phase path, so warm starts never change solvability.
 
 // upperRow is a compiled "y_col ≤ hi − lo" row for a doubly bounded
 // variable.
@@ -63,20 +76,74 @@ type program struct {
 	class  []boundClass
 	uppers []upperRow
 
-	ncols  int // structural (variable) columns
-	total  int // ncols + slack columns
-	stride int // total + m + 1: flat tableau row stride (max artificials + rhs)
+	ncols int // structural (variable) columns
+	total int // ncols + slack columns
 
 	rows     []row     // compiled copy of the original rows (coeffs shared, immutable)
 	sf       []float64 // m × total flat standard-form matrix, slack entries included
-	slackCol []int     // per row: its slack column, or −1 (EQ row)
 	slackSgn []float64 // per row: +1 (LE / upper), −1 (GE), 0 (EQ)
 	allSlack bool      // every row has a slack column: warm starts possible
+
+	// Column sparsity of sf, for the cold start's unit-column scan.
+	colNZ  []int // per column: nonzero entries
+	colRow []int // per column: row of its last nonzero entry
+
+	// Bound-shift terms of the original rows: row i subtracts
+	// shiftCoef[q]·shift[shiftVar[q]] for q in [shiftStart[i], shiftStart[i+1]),
+	// in ascending variable order (only nonzero coefficients on shifted
+	// variables).
+	shiftStart []int
+	shiftVar   []int
+	shiftCoef  []float64
 
 	cost  []float64 // standard-form objective (len total)
 	c     []float64 // original objective
 	lower []float64 // compiled bounds
 	upper []float64
+
+	scratch sync.Pool // *coldScratch: phase-1 workspace shared by the forks
+}
+
+// tableau is a condensed simplex tableau over m rows: only the k nonbasic
+// columns are stored, each in a slot, plus the rhs. Basic columns are
+// implicit unit vectors.
+type tableau struct {
+	k       int       // stored (nonbasic) columns; rows have stride k+1
+	t       []float64 // m × (k+1) row-major; index k of each row is the rhs
+	z       []float64 // reduced-cost row, same layout
+	basis   []int     // per row: its basic column
+	slotCol []int     // per slot: the column it stores
+	order   []int     // slots sorted by ascending column
+	pivots  int       // pivots since the last cold solve (drift guard)
+}
+
+// resize shapes tb to m rows and k slots, reusing its buffers when they
+// are large enough.
+func (tb *tableau) resize(m, k int) {
+	tb.k = k
+	tb.t = grow(tb.t, m*(k+1))
+	tb.z = grow(tb.z, k+1)
+	tb.basis = grow(tb.basis, m)
+	tb.slotCol = grow(tb.slotCol, k)
+	tb.order = grow(tb.order, k)
+}
+
+// grow returns s resized to length n, reallocating only when its capacity
+// is short.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// coldScratch is the cold path's temporary state. Phase 1 may need a
+// column slot for every artificial, so it runs in this wider tableau,
+// borrowed from the program's pool; only the phase-2 width stays resident
+// in each Solver.
+type coldScratch struct {
+	tab     tableau
+	basisOf []int // per row: its unit seed column, or −1
 }
 
 // Solver is a compiled Problem plus a reusable solve workspace. It is the
@@ -98,22 +165,15 @@ type Solver struct {
 	// Workspace (lazily allocated, then reused).
 	shift []float64 // current shift per variable, derived from lo/hi
 	b     []float64 // standard-form rhs (shift-adjusted, unnormalized)
-	newb  []float64 // candidate warm rhs column
 
-	t     []float64 // m × stride flat tableau
-	basis []int
-	z     []float64 // reduced-cost row (phase 2), kept across warm solves
+	tab  tableau // phase-2 tableau; the warm-start state when warm is set
+	warm bool
 
-	colRow  []int // cold-start unit-column scan
-	colOnes []int
-	basisOf []int
-	blocked []bool
-
-	// Warm-start state.
-	warm   bool // tableau/basis/z hold an optimal basis for the compiled cost
-	nart   int  // artificial columns in the stored tableau
-	rhsCol int  // rhs column index in the stored tableau (= total + nart)
-	pivots int  // pivots since the last cold solve (drift guard)
+	// Warm transform terms: the nonbasic slack slots with b ≠ 0, in
+	// ascending row order, and their coefficient slackSgn·b.
+	wSlot []int
+	wRow  []int
+	wCoef []float64
 
 	y   []float64 // standard-form solution
 	sol Solution  // reused result; sol.X aliases the x buffer below
@@ -126,10 +186,11 @@ type Solver struct {
 // evidence that a hot loop is actually warm-starting — and how many
 // pivots each path spent.
 type SolveStats struct {
-	Cold       int // cold two-phase solves (first call, fallbacks, refactorizations)
-	Warm       int // warm resolves from the previous basis (incl. zero-pivot hits)
-	ColdPivots int // pivots spent in successful cold solves
-	WarmPivots int // dual-simplex pivots spent in warm resolves
+	Cold          int // cold two-phase solves (first call, fallbacks, refactorizations)
+	Warm          int // warm resolves from the previous basis (incl. zero-pivot hits)
+	WarmFallbacks int // warm attempts that could not certify an answer and ran cold
+	ColdPivots    int // pivots spent in successful cold solves
+	WarmPivots    int // dual-simplex pivots spent in warm attempts, fallbacks included
 }
 
 // Stats returns the solve-path counters accumulated since construction or
@@ -188,19 +249,26 @@ func NewSolver(p *Problem) *Solver {
 	}
 	slackCols += len(pr.uppers)
 	pr.total = ncols + slackCols
-	pr.stride = pr.total + pr.m + 1
 
 	// Rows are snapshotted; coefficient slices are copied so later
 	// Problem mutations cannot reach the compiled form.
 	pr.rows = make([]row, pr.m0)
+	pr.shiftStart = make([]int, pr.m0+1)
 	for i, r := range p.rows {
 		cc := append([]float64(nil), r.coeffs...)
 		pr.rows[i] = row{coeffs: cc, sense: r.sense, rhs: r.rhs}
+		for j, coef := range cc {
+			if coef != 0 && pr.maps[j].kind != 2 {
+				pr.shiftVar = append(pr.shiftVar, j)
+				pr.shiftCoef = append(pr.shiftCoef, coef)
+			}
+		}
+		pr.shiftStart[i+1] = len(pr.shiftVar)
 	}
 
-	// Flat standard-form matrix with the slack entries in place.
+	// Flat standard-form matrix with the slack entries in place. When
+	// every row has a slack, row i's slack is column ncols+i.
 	pr.sf = make([]float64, pr.m*pr.total)
-	pr.slackCol = make([]int, pr.m)
 	pr.slackSgn = make([]float64, pr.m)
 	pr.allSlack = true
 	slack := ncols
@@ -224,14 +292,13 @@ func NewSolver(p *Problem) *Solver {
 		switch r.sense {
 		case LE:
 			ro[slack] = 1
-			pr.slackCol[i], pr.slackSgn[i] = slack, 1
+			pr.slackSgn[i] = 1
 			slack++
 		case GE:
 			ro[slack] = -1
-			pr.slackCol[i], pr.slackSgn[i] = slack, -1
+			pr.slackSgn[i] = -1
 			slack++
 		default:
-			pr.slackCol[i] = -1
 			pr.allSlack = false
 		}
 	}
@@ -240,8 +307,19 @@ func NewSolver(p *Problem) *Solver {
 		ro := pr.sf[i*pr.total : (i+1)*pr.total]
 		ro[ur.col] = 1
 		ro[slack] = 1
-		pr.slackCol[i], pr.slackSgn[i] = slack, 1
+		pr.slackSgn[i] = 1
 		slack++
+	}
+
+	pr.colNZ = make([]int, pr.total)
+	pr.colRow = make([]int, pr.total)
+	for i := 0; i < pr.m; i++ {
+		for j, v := range pr.sf[i*pr.total : (i+1)*pr.total] {
+			if v != 0 {
+				pr.colNZ[j]++
+				pr.colRow[j] = i
+			}
+		}
 	}
 
 	// Standard-form objective.
@@ -262,6 +340,9 @@ func NewSolver(p *Problem) *Solver {
 		}
 	}
 
+	pr.scratch.New = func() any {
+		return &coldScratch{basisOf: make([]int, pr.m)}
+	}
 	return &Solver{p: pr}
 }
 
@@ -279,7 +360,7 @@ func (s *Solver) Fork() *Solver { return &Solver{p: s.p} }
 // compiled form. The solve-path stats keep accumulating across resets.
 func (s *Solver) ResetWarm() {
 	s.warm = false
-	s.pivots = 0
+	s.tab.pivots = 0
 }
 
 // NumRows returns the number of original constraint rows (the length of
@@ -362,7 +443,6 @@ func (s *Solver) prepare(rhs []float64) {
 	if s.shift == nil {
 		s.shift = make([]float64, p.n)
 		s.b = make([]float64, p.m)
-		s.newb = make([]float64, p.m)
 		s.y = make([]float64, p.total)
 		s.x = make([]float64, p.n)
 	}
@@ -382,13 +462,8 @@ func (s *Solver) prepare(rhs []float64) {
 		if rhs != nil {
 			b = rhs[i]
 		}
-		for j, coef := range r.coeffs {
-			if coef == 0 {
-				continue
-			}
-			if p.maps[j].kind != 2 {
-				b -= coef * s.shift[j]
-			}
+		for q := p.shiftStart[i]; q < p.shiftStart[i+1]; q++ {
+			b -= p.shiftCoef[q] * s.shift[p.shiftVar[q]]
 		}
 		s.b[i] = b
 	}
@@ -418,11 +493,12 @@ func (s *Solver) solve(rhs []float64) *Solution {
 		return s.extract()
 	}
 
-	if s.warm && p.allSlack && s.pivots < refactorEvery {
-		p0 := s.pivots
-		if st, ok := s.resolveWarm(); ok {
+	if s.warm && p.allSlack && s.tab.pivots < refactorEvery {
+		p0 := s.tab.pivots
+		st, ok := s.resolveWarm()
+		s.stats.WarmPivots += s.tab.pivots - p0
+		if ok {
 			s.stats.Warm++
-			s.stats.WarmPivots += s.pivots - p0
 			if st != Optimal {
 				s.warm = false
 				s.sol = Solution{Status: st}
@@ -430,6 +506,7 @@ func (s *Solver) solve(rhs []float64) *Solution {
 			}
 			return s.extract()
 		}
+		s.stats.WarmFallbacks++
 	}
 
 	s.stats.Cold++
@@ -452,9 +529,10 @@ func (s *Solver) extract() *Solution {
 		for i := range s.y {
 			s.y[i] = 0
 		}
-		for i, j := range s.basis {
+		tb := &s.tab
+		for i, j := range tb.basis {
 			if j < p.total {
-				s.y[j] = s.t[i*p.stride+s.rhsCol]
+				s.y[j] = tb.t[i*(tb.k+1)+tb.k]
 			}
 		}
 	}
@@ -480,23 +558,55 @@ func (s *Solver) extract() *Solution {
 // the caller must run the cold path.
 func (s *Solver) resolveWarm() (Status, bool) {
 	p := s.p
-	// New rhs column in the current basis: the slack block of the tableau
-	// is B⁻¹·D·Σ for the row-sign normalization D and slack signs Σ, so
-	// B⁻¹·D·b = T_slack·Σ·b — the normalization cancels.
-	for i := 0; i < p.m; i++ {
-		acc := 0.0
-		ti := s.t[i*p.stride:]
-		for k := 0; k < p.m; k++ {
-			if bk := s.b[k]; bk != 0 {
-				acc += ti[p.slackCol[k]] * p.slackSgn[k] * bk
-			}
+	tb := &s.tab
+	w := tb.k + 1
+	// New rhs column in the current basis: the slack columns of the
+	// tableau are B⁻¹·D·Σ for the row-sign normalization D and slack signs
+	// Σ, so B⁻¹·D·b = T_slack·Σ·b — the normalization cancels. Row k's
+	// slack is column ncols+k. A basic slack's column is the unit vector
+	// of its row, so each row sums the nonbasic slack terms plus its own
+	// basic slack's 1·Σ_k·b_k, all in ascending k.
+	s.wSlot = grow(s.wSlot, tb.k)
+	s.wRow = grow(s.wRow, tb.k)
+	s.wCoef = grow(s.wCoef, tb.k)
+	nw := 0
+	for _, sl := range tb.order {
+		j := tb.slotCol[sl]
+		if j < p.ncols {
+			continue
 		}
-		s.newb[i] = acc
+		if j >= p.total {
+			break
+		}
+		k := j - p.ncols
+		if bk := s.b[k]; bk != 0 {
+			s.wSlot[nw], s.wRow[nw], s.wCoef[nw] = sl, k, p.slackSgn[k]*bk
+			nw++
+		}
 	}
+	wSlot, wRow, wCoef := s.wSlot[:nw], s.wRow[:nw], s.wCoef[:nw]
 	infeasRows := 0
 	for i := 0; i < p.m; i++ {
-		s.t[i*p.stride+s.rhsCol] = s.newb[i]
-		if s.newb[i] < -eps {
+		ti := tb.t[i*w : i*w+w]
+		kb, cb := -1, 0.0
+		if j := tb.basis[i]; j >= p.ncols && j < p.total {
+			if bk := s.b[j-p.ncols]; bk != 0 {
+				kb, cb = j-p.ncols, p.slackSgn[j-p.ncols]*bk
+			}
+		}
+		acc := 0.0
+		for q, sl := range wSlot {
+			if kb >= 0 && wRow[q] > kb {
+				acc += cb
+				kb = -1
+			}
+			acc += ti[sl] * wCoef[q]
+		}
+		if kb >= 0 {
+			acc += cb
+		}
+		ti[tb.k] = acc
+		if acc < -eps {
 			infeasRows++
 		}
 	}
@@ -518,8 +628,8 @@ func (s *Solver) resolveWarm() (Status, bool) {
 	}
 	// A basic artificial at a nonzero level would mean the "optimum"
 	// violates its row; only the cold phase-1 can decide feasibility then.
-	for i, j := range s.basis {
-		if j >= p.total && s.t[i*p.stride+s.rhsCol] > 1e-7 {
+	for i, j := range tb.basis {
+		if j >= p.total && tb.t[i*w+tb.k] > 1e-7 {
 			return Optimal, false
 		}
 	}
@@ -533,12 +643,14 @@ func (s *Solver) resolveWarm() (Status, bool) {
 // reported with ok false.
 func (s *Solver) dualSimplex() (Status, bool) {
 	p := s.p
+	tb := &s.tab
+	w := tb.k + 1
 	for iter := 0; iter < iterCap; iter++ {
 		// Leaving row: most negative rhs.
 		leave := -1
 		worst := -eps
 		for i := 0; i < p.m; i++ {
-			if v := s.t[i*p.stride+s.rhsCol]; v < worst {
+			if v := tb.t[i*w+tb.k]; v < worst {
 				worst = v
 				leave = i
 			}
@@ -547,19 +659,25 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			return Optimal, true
 		}
 		// Entering column: dual ratio test over negative entries of the
-		// leaving row; ties toward the smallest column index. The scan
-		// stops at p.total — artificials must not re-enter.
-		lr := s.t[leave*p.stride : leave*p.stride+p.total]
-		enter := -1
+		// leaving row in ascending column order; ties toward the smallest
+		// column index. The scan stops at p.total — artificials must not
+		// re-enter.
+		lr := tb.t[leave*w : leave*w+w]
+		enter, enterCol := -1, -1
 		best := math.Inf(1)
-		for j, a := range lr {
+		for _, sl := range tb.order {
+			j := tb.slotCol[sl]
+			if j >= p.total {
+				break
+			}
+			a := lr[sl]
 			if a >= -eps {
 				continue
 			}
-			r := s.z[j] / -a
-			if r < best-eps || (r < best+eps && (enter == -1 || j < enter)) {
+			r := tb.z[sl] / -a
+			if r < best-eps || (r < best+eps && (enter == -1 || j < enterCol)) {
 				best = r
-				enter = j
+				enter, enterCol = sl, j
 			}
 		}
 		if enter == -1 {
@@ -567,194 +685,211 @@ func (s *Solver) dualSimplex() (Status, bool) {
 			// confirm rather than trusting a drifted tableau.
 			return Infeasible, false
 		}
-		s.pivot(leave, enter)
+		tb.pivot(leave, enter)
 	}
 	return IterLimit, false
 }
 
 // solveCold runs the two-phase simplex from scratch on the prepared b,
-// replicating the historical from-scratch solve arithmetic on the flat
-// reused tableau. On Optimal it leaves the tableau, basis, and phase-2
-// reduced costs in place as the warm-start state.
+// replicating the historical from-scratch solve arithmetic. On Optimal it
+// leaves the phase-2 tableau and reduced costs in place as the warm-start
+// state.
 func (s *Solver) solveCold() Status {
 	p := s.p
-	if s.t == nil {
-		s.t = make([]float64, p.m*p.stride)
-		s.basis = make([]int, p.m)
-		s.z = make([]float64, p.stride)
-		s.colRow = make([]int, p.total)
-		s.colOnes = make([]int, p.total)
-		s.basisOf = make([]int, p.m)
-		s.blocked = make([]bool, p.stride)
-	}
-	s.pivots = 0
+	sc := p.scratch.Get().(*coldScratch)
+	defer p.scratch.Put(sc)
 	s.warm = false
 
-	// Copy the compiled matrix in, normalizing to b ≥ 0.
-	for i := 0; i < p.m; i++ {
-		ti := s.t[i*p.stride : (i+1)*p.stride]
-		copy(ti, p.sf[i*p.total:(i+1)*p.total])
-		for j := p.total; j < len(ti); j++ {
-			ti[j] = 0
+	// Unit-column seeds: a column with a single +1 entry (after the row's
+	// sign normalization to b ≥ 0) can seed the basis of its row — slack
+	// columns of LE rows with b ≥ 0 have this shape. Later (slack) columns
+	// are preferred. Rows without a seed get an artificial.
+	basisOf := sc.basisOf
+	for i := range basisOf {
+		basisOf[i] = -1
+	}
+	for j := p.total - 1; j >= 0; j-- {
+		if p.colNZ[j] != 1 {
+			continue
 		}
-		b := s.b[i]
-		if b < 0 {
-			b = -b
-			for j := 0; j < p.total; j++ {
-				ti[j] = -ti[j]
-			}
+		i := p.colRow[j]
+		v := p.sf[i*p.total+j]
+		if s.b[i] < 0 {
+			v = -v
 		}
-		ti[len(ti)-1] = 0 // rhs position assigned below once nart is known
-		s.newb[i] = b     // stash normalized rhs
-	}
-
-	// Unit-column scan: a column with a single +1 entry can seed the basis
-	// of its row (slack columns of LE rows with b ≥ 0 have this shape).
-	for j := 0; j < p.total; j++ {
-		s.colRow[j] = -1
-		s.colOnes[j] = 0
-	}
-	for i := 0; i < p.m; i++ {
-		ti := s.t[i*p.stride:]
-		for j := 0; j < p.total; j++ {
-			if ti[j] != 0 {
-				s.colOnes[j]++
-				s.colRow[j] = i
-			}
-		}
-	}
-	for i := range s.basisOf {
-		s.basisOf[i] = -1
-	}
-	for j := p.total - 1; j >= 0; j-- { // prefer later (slack) columns
-		if s.colOnes[j] == 1 {
-			i := s.colRow[j]
-			if s.basisOf[i] == -1 && s.t[i*p.stride+j] == 1 {
-				s.basisOf[i] = j
-			}
+		if basisOf[i] == -1 && v == 1 {
+			basisOf[i] = j
 		}
 	}
 	nart := 0
-	for i := 0; i < p.m; i++ {
-		if s.basisOf[i] == -1 {
+	for _, j := range basisOf {
+		if j < 0 {
 			nart++
 		}
 	}
-	s.nart = nart
-	s.rhsCol = p.total + nart
-	ncols := p.total + nart
 
-	// Place artificials and the rhs column.
+	// Every real column starts nonbasic except the seeds; artificials
+	// start basic. Phase 1 runs in the scratch tableau, a cold solve
+	// without artificials directly in the resident one.
+	tb := &s.tab
+	if nart > 0 {
+		tb = &sc.tab
+	}
+	k := p.total + nart - p.m
+	tb.resize(p.m, k)
+	tb.pivots = 0
+	w := k + 1
+	sl := 0
+	for j := 0; j < p.total; j++ {
+		if p.colNZ[j] == 1 && basisOf[p.colRow[j]] == j {
+			continue // seed
+		}
+		tb.slotCol[sl], tb.order[sl] = j, sl
+		sl++
+	}
 	art := p.total
 	for i := 0; i < p.m; i++ {
-		ti := s.t[i*p.stride:]
-		ti[s.rhsCol] = s.newb[i]
-		if s.basisOf[i] >= 0 {
-			s.basis[i] = s.basisOf[i]
+		src := p.sf[i*p.total : (i+1)*p.total]
+		ti := tb.t[i*w : i*w+w]
+		b := s.b[i]
+		if b < 0 {
+			b = -b
+			for q, j := range tb.slotCol {
+				ti[q] = -src[j]
+			}
 		} else {
-			ti[art] = 1
-			s.basis[i] = art
+			for q, j := range tb.slotCol {
+				ti[q] = src[j]
+			}
+		}
+		ti[k] = b
+		if basisOf[i] >= 0 {
+			tb.basis[i] = basisOf[i]
+		} else {
+			tb.basis[i] = art
 			art++
 		}
 	}
 
 	// Phase 1: minimize the sum of artificials (skipped when none exist).
 	if nart > 0 {
-		for j := 0; j <= s.rhsCol; j++ {
-			s.z[j] = 0
+		z := tb.z
+		for j := range z {
+			z[j] = 0
 		}
 		for i := 0; i < p.m; i++ {
-			if s.basis[i] < p.total {
+			if tb.basis[i] < p.total {
 				continue
 			}
-			ti := s.t[i*p.stride:]
-			for j := 0; j <= s.rhsCol; j++ {
-				s.z[j] -= ti[j]
+			ti := tb.t[i*w : i*w+w]
+			for j := range z {
+				z[j] -= ti[j]
 			}
 		}
-		for i := 0; i < p.m; i++ {
-			s.z[s.basis[i]] = 0
-		}
-		if st := s.iterate(ncols, false); st != Optimal {
+		if st := tb.iterate(p.total + nart); st != Optimal {
 			return st
 		}
-		if -s.z[s.rhsCol] > 1e-7 {
+		if -z[k] > 1e-7 {
 			return Infeasible
 		}
 		// Drive remaining artificials out of the basis where possible; a
 		// row with no pivot is redundant and its artificial stays basic at
 		// zero, excluded from phase-2 pricing.
 		for i := 0; i < p.m; i++ {
-			if s.basis[i] < p.total {
+			if tb.basis[i] < p.total {
 				continue
 			}
-			ti := s.t[i*p.stride:]
-			for j := 0; j < p.total; j++ {
-				if math.Abs(ti[j]) > 1e-7 {
-					s.pivot(i, j)
+			ti := tb.t[i*w : i*w+w]
+			for _, q := range tb.order {
+				if tb.slotCol[q] >= p.total {
+					break
+				}
+				if math.Abs(ti[q]) > 1e-7 {
+					tb.pivot(i, q)
 					break
 				}
 			}
 		}
+		s.keepPhase2(tb)
+		tb = &s.tab
+		k = tb.k
+		w = k + 1
 	}
 
 	// Phase 2: rebuild reduced costs for the real objective.
-	copy(s.z[:p.total], p.cost)
-	for j := p.total; j <= s.rhsCol; j++ {
-		s.z[j] = 0
+	z := tb.z
+	for q, j := range tb.slotCol {
+		z[q] = p.cost[j]
 	}
+	z[k] = 0
 	for i := 0; i < p.m; i++ {
-		j := s.basis[i]
+		j := tb.basis[i]
 		if j >= p.total {
 			continue
 		}
-		cj := s.z[j]
-		if cj == 0 {
-			continue
-		}
-		ti := s.t[i*p.stride:]
-		for k := 0; k <= s.rhsCol; k++ {
-			s.z[k] -= cj * ti[k]
+		if cj := p.cost[j]; cj != 0 {
+			axpyNeg(z, tb.t[i*w:i*w+w], cj)
 		}
 	}
-	useBlocked := nart > 0
-	if useBlocked {
-		for j := 0; j < p.total; j++ {
-			s.blocked[j] = false
-		}
-		for j := p.total; j < ncols; j++ {
-			s.blocked[j] = true
-		}
-	}
-	if st := s.iterate(ncols, useBlocked); st != Optimal {
+	if st := tb.iterate(p.total); st != Optimal {
 		return st
 	}
-	s.stats.ColdPivots += s.pivots
-	s.pivots = 0 // fresh factorization: reset the drift guard
+	s.stats.ColdPivots += tb.pivots
+	tb.pivots = 0 // fresh factorization: reset the drift guard
 	return Optimal
 }
 
-// iterate runs primal simplex pivots until optimality, unboundedness, or
-// the iteration cap, replicating the historical pricing exactly (Dantzig,
-// then Bland after blandTrip pivots; ratio ties toward the smallest basis
-// index).
-func (s *Solver) iterate(ncols int, useBlocked bool) Status {
+// keepPhase2 copies the phase-1 tableau ph1 into the resident tableau,
+// dropping the nonbasic artificial columns — dead from here on, since
+// phase 2 and the warm path never let an artificial enter. The kept slots
+// are laid out in ascending column order.
+func (s *Solver) keepPhase2(ph1 *tableau) {
 	p := s.p
+	k := 0
+	for _, q := range ph1.order {
+		if ph1.slotCol[q] >= p.total {
+			break
+		}
+		k++
+	}
+	tb := &s.tab
+	tb.resize(p.m, k)
+	for q := 0; q < k; q++ {
+		tb.slotCol[q], tb.order[q] = ph1.slotCol[ph1.order[q]], q
+	}
+	w1, w := ph1.k+1, k+1
+	for i := 0; i < p.m; i++ {
+		src := ph1.t[i*w1 : i*w1+w1]
+		dst := tb.t[i*w : i*w+w]
+		for q, from := range ph1.order[:k] {
+			dst[q] = src[from]
+		}
+		dst[k] = src[ph1.k]
+	}
+	copy(tb.basis, ph1.basis)
+	tb.pivots = ph1.pivots
+}
+
+// iterate runs primal simplex pivots until optimality, unboundedness, or
+// the iteration cap, replicating the historical pricing exactly (Dantzig
+// over columns below limit in ascending order, then Bland after blandTrip
+// pivots; ratio ties toward the smallest basis index).
+func (tb *tableau) iterate(limit int) Status {
+	w := tb.k + 1
 	for iter := 0; iter < iterCap; iter++ {
 		bland := iter > blandTrip
 		enter := -1
 		best := -eps
-		for j := 0; j < ncols; j++ {
-			if useBlocked && s.blocked[j] {
-				continue
+		for _, q := range tb.order {
+			if tb.slotCol[q] >= limit {
+				break
 			}
-			if s.z[j] < best {
+			if zq := tb.z[q]; zq < best {
+				enter = q
 				if bland {
-					enter = j
 					break
 				}
-				best = s.z[j]
-				enter = j
+				best = zq
 			}
 		}
 		if enter == -1 {
@@ -762,11 +897,11 @@ func (s *Solver) iterate(ncols int, useBlocked bool) Status {
 		}
 		leave := -1
 		bestRatio := math.Inf(1)
-		for i := 0; i < p.m; i++ {
-			ti := s.t[i*p.stride:]
-			if ti[enter] > eps {
-				ratio := ti[s.rhsCol] / ti[enter]
-				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave == -1 || s.basis[i] < s.basis[leave])) {
+		for i := range tb.basis {
+			ti := tb.t[i*w : i*w+w]
+			if a := ti[enter]; a > eps {
+				ratio := ti[tb.k] / a
+				if ratio < bestRatio-eps || (ratio < bestRatio+eps && (leave == -1 || tb.basis[i] < tb.basis[leave])) {
 					bestRatio = ratio
 					leave = i
 				}
@@ -775,43 +910,66 @@ func (s *Solver) iterate(ncols int, useBlocked bool) Status {
 		if leave == -1 {
 			return Unbounded
 		}
-		s.pivot(leave, enter)
+		tb.pivot(leave, enter)
 	}
 	return IterLimit
 }
 
-// pivot performs a Gauss-Jordan pivot on tableau row r, column c, updating
-// the reduced-cost row alongside. Only the logical width [0, rhsCol] is
-// touched. The row update is the solver's single hottest loop (>80% of a
-// resolve), hence the manual 4-way unrolling.
-func (s *Solver) pivot(r, c int) {
-	p := s.p
-	w := s.rhsCol + 1
-	pr := s.t[r*p.stride : r*p.stride+w]
-	inv := 1 / pr[c]
+// pivot performs a Gauss-Jordan pivot on row r and the column in slot q,
+// updating the reduced-cost row alongside. The leaving column takes over
+// slot q. Its entries are what the full-tableau update would compute from
+// its unit column: inv in the pivot row and 0 − f·inv in every row with
+// f ≠ 0 (rows with f = 0 keep a zero). The row update is the solver's
+// single hottest loop, hence the manual 4-way unrolling in axpyNeg.
+func (tb *tableau) pivot(r, q int) {
+	w := tb.k + 1
+	pr := tb.t[r*w : r*w+w]
+	inv := 1 / pr[q]
 	for j := range pr {
 		pr[j] *= inv
 	}
-	pr[c] = 1 // avoid roundoff drift on the pivot itself
-	for i := 0; i < p.m; i++ {
+	pr[q] = inv
+	for i := range tb.basis {
 		if i == r {
 			continue
 		}
-		ti := s.t[i*p.stride : i*p.stride+w]
-		f := ti[c]
+		ti := tb.t[i*w : i*w+w]
+		f := ti[q]
 		if f == 0 {
 			continue
 		}
+		ti[q] = 0
 		axpyNeg(ti, pr, f)
-		ti[c] = 0
 	}
-	f := s.z[c]
-	if f != 0 {
-		axpyNeg(s.z[:w], pr, f)
-		s.z[c] = 0
+	if f := tb.z[q]; f != 0 {
+		tb.z[q] = 0
+		axpyNeg(tb.z[:w], pr, f)
 	}
-	s.basis[r] = c
-	s.pivots++
+	leaving := tb.basis[r]
+	tb.basis[r] = tb.slotCol[q]
+	tb.slotCol[q] = leaving
+	tb.reorder(q)
+	tb.pivots++
+}
+
+// reorder restores the ascending-column order of tb.order after slot q's
+// column changed.
+func (tb *tableau) reorder(q int) {
+	o := tb.order
+	i := 0
+	for o[i] != q {
+		i++
+	}
+	c := tb.slotCol[q]
+	for i > 0 && tb.slotCol[o[i-1]] > c {
+		o[i] = o[i-1]
+		i--
+	}
+	for i+1 < len(o) && tb.slotCol[o[i+1]] < c {
+		o[i] = o[i+1]
+		i++
+	}
+	o[i] = q
 }
 
 // axpyNeg computes dst[j] -= f·src[j], 4-way unrolled. len(dst) must equal

@@ -12,10 +12,11 @@
 //     policy. Engines are immutable after construction and safe for
 //     concurrent use.
 //   - Session is a cheap, poolable handle for one closed-loop run. Closing
-//     a session returns its solver workspace (the tableau, the warm-start
-//     buffers, the disturbance ring) to the engine's sync.Pool; the next
-//     NewSession reuses it after a cold reset, so a pooled session's
-//     trajectory is byte-identical to a freshly created one's.
+//     a session returns its solver workspace (the condensed tableau of
+//     nonbasic columns, the warm-start buffers, the disturbance ring) to
+//     the engine's sync.Pool; the next NewSession reuses it after a cold
+//     reset, so a pooled session's trajectory is byte-identical to a
+//     freshly created one's.
 //
 // Errors are sentinel-based (errors.Is): ErrInfeasible, ErrUnsafe,
 // ErrSessionClosed, ErrUnknownPlant, ErrUnknownScenario, ErrUnknownPolicy,
