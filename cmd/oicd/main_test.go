@@ -56,7 +56,7 @@ func TestCrashRecoverySmoke(t *testing.T) {
 	const steps = 200
 	var last oic.StepResult
 	for i := 0; i < steps; i++ {
-		w := []float64{0.05 * math.Sin(float64(i)), 0.03 * math.Cos(float64(2 * i))}
+		w := []float64{0.05 * math.Sin(float64(i)), 0.03 * math.Cos(float64(2*i))}
 		doJSON(t, base, "POST", "/v1/sessions/"+info.ID+"/step", oic.StepRequest{W: w}, &last)
 	}
 	var preInfo oic.SessionInfo

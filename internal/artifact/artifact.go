@@ -7,16 +7,18 @@
 // loading one skips set synthesis and DRL training entirely while
 // reproducing the built engine's behavior bit-for-bit.
 //
-// The binary codec follows the internal/trace idiom exactly: "OICA"
-// magic, fixed little-endian layout, no optional fields or padding (so
-// every valid artifact has exactly one encoding and Encode∘Decode is the
-// identity, fuzz-pinned), a CRC-32 (IEEE) trailer, and a strict decoder
-// that checks every length against the remaining input before
-// allocating.
+// The binary codec is built on internal/binfmt, like the trace and
+// journal codecs: "OICA" magic, fixed little-endian layout, no optional
+// fields or padding (so every valid artifact has exactly one encoding and
+// Encode∘Decode is the identity, fuzz-pinned), a CRC-32 (IEEE) trailer,
+// and a strict decoder that checks every length against the remaining
+// input before allocating. The fingerprint is trace.Meta, encoded and
+// bounds-checked by the same code the trace and journal formats use.
 //
-// The package deliberately depends only on internal/poly and the
-// standard library: the network is stored as flat layer sizes, weights,
-// and biases, and pkg/oic maps those to live nn/plant types.
+// Beyond the standard library the package depends only on internal/poly,
+// internal/binfmt and internal/trace (for the fingerprint): the network
+// is stored as flat layer sizes, weights, and biases, and pkg/oic maps
+// those to live nn/plant types.
 package artifact
 
 import (
@@ -24,48 +26,35 @@ import (
 	"fmt"
 	"math"
 
+	"oic/internal/binfmt"
 	"oic/internal/poly"
+	"oic/internal/trace"
 )
 
 // Format limits. Decoders reject anything outside these bounds before
 // allocating, so a hostile header cannot demand unbounded memory.
 const (
 	Version    = 1
-	MaxDim     = 64      // state/input dimension bound (shared with trace)
-	MaxRows    = 4096    // halfspace rows per polytope
-	MaxChain   = 64      // consecutive-skip chain length
-	MaxString  = 1024    // identifier strings
-	MaxLayers  = 16      // network layers (size entries − 1)
-	MaxUnits   = 4096    // units per network layer
-	MaxMemory  = 64      // disturbance-memory window
-	MaxHistory = 1 << 20 // reward-history entries
+	MaxDim     = trace.MaxDim    // state/input dimension bound
+	MaxRows    = 4096            // halfspace rows per polytope
+	MaxChain   = 64              // consecutive-skip chain length
+	MaxString  = trace.MaxString // identifier strings
+	MaxLayers  = 16              // network layers (size entries − 1)
+	MaxUnits   = 4096            // units per network layer
+	MaxMemory  = 64              // disturbance-memory window
+	MaxHistory = 1 << 20         // reward-history entries
 )
 
 // Typed decode failures, wrapped with context by the codec. Callers
 // distinguish a corrupt entry (checksum, truncation) from a foreign file
-// (magic, version) without string matching.
+// (magic, version) without string matching. They are the shared
+// internal/binfmt sentinels, so errors.Is matches either name.
 var (
-	ErrBadMagic   = errors.New("artifact: bad magic")
-	ErrBadVersion = errors.New("artifact: unsupported version")
-	ErrTruncated  = errors.New("artifact: truncated input")
-	ErrChecksum   = errors.New("artifact: checksum mismatch")
+	ErrBadMagic   = binfmt.ErrBadMagic
+	ErrBadVersion = binfmt.ErrBadVersion
+	ErrTruncated  = binfmt.ErrTruncated
+	ErrChecksum   = binfmt.ErrChecksum
 )
-
-// Meta is the engine-configuration fingerprint the artifact was compiled
-// from, in canonical form (policy name defaulted, training budget cleared
-// for non-learned policies, memory folded to 0 when it equals the
-// default, scenario resolved to a concrete ID) — the same canonical form
-// oic.Config.Fingerprint and the oicd engine cache key use, so library,
-// server, and store agree on identity.
-type Meta struct {
-	Plant         string
-	Scenario      string
-	Policy        string
-	Memory        int
-	TrainEpisodes int
-	TrainSteps    int
-	TrainSeed     int64
-}
 
 // Sets are the compiled safety-set polytopes of DESIGN.md §2: the safe
 // set X, the robust control invariant XI (Proposition 1), and the
@@ -104,11 +93,17 @@ type TrainStats struct {
 type Artifact struct {
 	Version int
 	NX, NU  int
-	Meta    Meta
-	Sets    Sets
-	Chain   []*poly.Polytope // S₁ ⊇ … ⊇ S_m (may be shorter than the max budget)
-	Policy  *Policy          // nil for policies with no learned state
-	Train   TrainStats
+	// Meta is the engine-configuration fingerprint the artifact was
+	// compiled from, in canonical form (policy name defaulted, training
+	// budget cleared for non-learned policies, memory folded to 0 when it
+	// equals the default, scenario resolved to a concrete ID) — the same
+	// canonical form oic.Config.Fingerprint and the oicd engine cache key
+	// use, so library, server, and store agree on identity.
+	Meta   trace.Meta
+	Sets   Sets
+	Chain  []*poly.Polytope // S₁ ⊇ … ⊇ S_m (may be shorter than the max budget)
+	Policy *Policy          // nil for policies with no learned state
+	Train  TrainStats
 }
 
 func validString(name, s string) error {
@@ -142,27 +137,16 @@ func (a *Artifact) Validate() error {
 		return errors.New("artifact: nil artifact")
 	}
 	if a.Version != Version {
-		return fmt.Errorf("%w %d (want %d)", ErrBadVersion, a.Version, Version)
+		return fmt.Errorf("artifact: %w %d (want %d)", ErrBadVersion, a.Version, Version)
 	}
 	if a.NX < 1 || a.NX > MaxDim || a.NU < 1 || a.NU > MaxDim {
 		return fmt.Errorf("artifact: dimensions %d×%d outside [1, %d]", a.NX, a.NU, MaxDim)
 	}
-	if err := validString("plant", a.Meta.Plant); err != nil {
-		return err
+	if err := a.Meta.Validate(); err != nil {
+		return fmt.Errorf("artifact: %w", err)
 	}
-	if err := validString("scenario", a.Meta.Scenario); err != nil {
-		return err
-	}
-	if err := validString("policy name", a.Meta.Policy); err != nil {
-		return err
-	}
-	if a.Meta.Memory < 0 || a.Meta.Memory > MaxMemory {
-		return fmt.Errorf("artifact: memory %d outside [0, %d]", a.Meta.Memory, MaxMemory)
-	}
-	if a.Meta.TrainEpisodes < 0 || a.Meta.TrainEpisodes > math.MaxUint32 ||
-		a.Meta.TrainSteps < 0 || a.Meta.TrainSteps > math.MaxUint32 {
-		return fmt.Errorf("artifact: training budget %d×%d outside uint32",
-			a.Meta.TrainEpisodes, a.Meta.TrainSteps)
+	if a.Meta.Scenario == "" || a.Meta.Policy == "" {
+		return errors.New("artifact: empty scenario or policy name")
 	}
 	if err := validPolytope("X", a.Sets.X, a.NX); err != nil {
 		return err

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"oic/internal/poly"
+	"oic/internal/trace"
 )
 
 // sample builds a structurally valid artifact exercising every wire
@@ -18,7 +19,7 @@ func sample(withPolicy bool) *Artifact {
 	a := &Artifact{
 		Version: Version,
 		NX:      2, NU: 1,
-		Meta: Meta{
+		Meta: trace.Meta{
 			Plant: "acc", Scenario: "vf-30", Policy: "drl",
 			Memory: 0, TrainEpisodes: 24, TrainSteps: 40, TrainSeed: -5,
 		},
@@ -65,9 +66,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		b, err := Encode(a)
 		if err != nil {
 			t.Fatalf("encode(policy=%v): %v", withPolicy, err)
-		}
-		if len(b) != a.EncodedSize() {
-			t.Errorf("EncodedSize %d, encoded %d bytes", a.EncodedSize(), len(b))
 		}
 		got, err := Decode(b)
 		if err != nil {

@@ -1,27 +1,25 @@
 package artifact
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"oic/internal/binfmt"
+	"oic/internal/mat"
 	"oic/internal/poly"
+	"oic/internal/trace"
 )
 
-// Binary wire layout (all integers little-endian, floats IEEE-754 bits):
+// Binary wire layout (all integers little-endian, floats IEEE-754 bits,
+// primitives from internal/binfmt):
 //
 //	magic   [4]byte  "OICA"
 //	u16     version
 //	u16     nx
 //	u16     nu
-//	u16     memory (canonical config value; 0 = default)
-//	u32     train episodes
-//	u32     train steps
-//	u64     train seed (two's complement)
-//	str     plant     (u16 length + bytes)
-//	str     scenario  (u16 length + bytes)
-//	str     policy    (u16 length + bytes)
+//	meta    (trace.AppendMeta: u16 memory — canonical config value,
+//	        0 = default — u32 train episodes, u32 train steps, u64 train
+//	        seed, str plant, str scenario, str policy; str = u16 length
+//	        + bytes)
 //	poly    X, XI, X′ (each: u16 rows, u16 cols, f64×R×C A row-major, f64×R B)
 //	u16     skip-chain length m, then m polytopes S₁…S_m
 //	u8      policy kind (0 = none, 1 = snapshot); kind 1 adds:
@@ -46,146 +44,77 @@ const (
 	policyKindSnapshot = 1
 )
 
-// EncodedSize returns the exact byte length Encode will produce.
-func (a *Artifact) EncodedSize() int {
-	n := 4 + 2 + 2 + 2 + 2 + 4 + 4 + 8 +
-		2 + len(a.Meta.Plant) + 2 + len(a.Meta.Scenario) + 2 + len(a.Meta.Policy) +
-		poly.EncodedBinarySize(a.Sets.X) + poly.EncodedBinarySize(a.Sets.XI) + poly.EncodedBinarySize(a.Sets.XPrime) +
-		2
-	for _, s := range a.Chain {
-		n += poly.EncodedBinarySize(s)
-	}
-	n++ // policy kind
-	if a.Policy != nil {
-		n += 2 + len(a.Policy.Label) + 2 + 2 + 2*len(a.Policy.Sizes)
-		for l := range a.Policy.Weights {
-			n += 8 * (len(a.Policy.Weights[l]) + len(a.Policy.Biases[l]))
-		}
-		n += 2 + 16*len(a.Policy.XCenter) + 2 + 8*len(a.Policy.WScale)
-	}
-	n += 4 + 4 + 8 + 8 + 8 + 4 + 8*len(a.Train.RewardHistory) + 4
-	return n
-}
-
-func appendF64s(buf []byte, vs []float64) []byte {
-	for _, v := range vs {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
-	return buf
-}
-
 // Encode serializes the artifact into the canonical binary form. The
 // artifact must be valid (Validate), or an error is returned.
 func Encode(a *Artifact) ([]byte, error) {
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, a.EncodedSize())
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.Version))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.NX))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.NU))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(a.Meta.Memory))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Meta.TrainEpisodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Meta.TrainSteps))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(a.Meta.TrainSeed))
-	for _, s := range []string{a.Meta.Plant, a.Meta.Scenario, a.Meta.Policy} {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-		buf = append(buf, s...)
-	}
+	buf := binfmt.AppendHeader(nil, magic, Version)
+	buf = binfmt.AppendU16(buf, uint16(a.NX))
+	buf = binfmt.AppendU16(buf, uint16(a.NU))
+	buf = trace.AppendMeta(buf, &a.Meta)
 	for _, p := range []*poly.Polytope{a.Sets.X, a.Sets.XI, a.Sets.XPrime} {
-		buf = poly.AppendBinary(buf, p)
+		buf = appendPolytope(buf, p)
 	}
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(a.Chain)))
+	buf = binfmt.AppendU16(buf, uint16(len(a.Chain)))
 	for _, s := range a.Chain {
-		buf = poly.AppendBinary(buf, s)
+		buf = appendPolytope(buf, s)
 	}
 	if a.Policy == nil {
 		buf = append(buf, policyKindNone)
 	} else {
 		p := a.Policy
 		buf = append(buf, policyKindSnapshot)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Label)))
-		buf = append(buf, p.Label...)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(p.Memory))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.Sizes)))
+		buf = binfmt.AppendStr(buf, p.Label)
+		buf = binfmt.AppendU16(buf, uint16(p.Memory))
+		buf = binfmt.AppendU16(buf, uint16(len(p.Sizes)))
 		for _, sz := range p.Sizes {
-			buf = binary.LittleEndian.AppendUint16(buf, uint16(sz))
+			buf = binfmt.AppendU16(buf, uint16(sz))
 		}
 		for l := range p.Weights {
-			buf = appendF64s(buf, p.Weights[l])
-			buf = appendF64s(buf, p.Biases[l])
+			buf = binfmt.AppendF64s(buf, p.Weights[l])
+			buf = binfmt.AppendF64s(buf, p.Biases[l])
 		}
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.XCenter)))
-		buf = appendF64s(buf, p.XCenter)
-		buf = appendF64s(buf, p.XScale)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(p.WScale)))
-		buf = appendF64s(buf, p.WScale)
+		buf = binfmt.AppendU16(buf, uint16(len(p.XCenter)))
+		buf = binfmt.AppendF64s(buf, p.XCenter)
+		buf = binfmt.AppendF64s(buf, p.XScale)
+		buf = binfmt.AppendU16(buf, uint16(len(p.WScale)))
+		buf = binfmt.AppendF64s(buf, p.WScale)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Train.Episodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(a.Train.TotalSteps))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Train.MeanReward))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Train.FinalEpsilon))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(a.Train.FinalLossEMA))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(a.Train.RewardHistory)))
-	buf = appendF64s(buf, a.Train.RewardHistory)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
+	buf = binfmt.AppendU32(buf, uint32(a.Train.Episodes))
+	buf = binfmt.AppendU32(buf, uint32(a.Train.TotalSteps))
+	buf = binfmt.AppendF64(buf, a.Train.MeanReward)
+	buf = binfmt.AppendF64(buf, a.Train.FinalEpsilon)
+	buf = binfmt.AppendF64(buf, a.Train.FinalLossEMA)
+	buf = binfmt.AppendU32(buf, uint32(len(a.Train.RewardHistory)))
+	buf = binfmt.AppendF64s(buf, a.Train.RewardHistory)
+	return binfmt.AppendCRC(buf, 0), nil
 }
 
-// decoder is a bounds-checked cursor over an encoded artifact.
-type decoder struct {
-	b   []byte
-	off int
+// appendPolytope appends u16 rows · u16 cols · f64×rows×cols A
+// (row-major) · f64×rows B. Validate bounds both dimensions far below
+// u16.
+func appendPolytope(dst []byte, p *poly.Polytope) []byte {
+	dst = binfmt.AppendU16(dst, uint16(p.A.R))
+	dst = binfmt.AppendU16(dst, uint16(p.A.C))
+	dst = binfmt.AppendF64s(dst, p.A.Data)
+	return binfmt.AppendF64s(dst, p.B)
 }
 
-func (d *decoder) need(n int) error {
-	if len(d.b)-d.off < n {
-		return fmt.Errorf("%w at offset %d (need %d bytes)", ErrTruncated, d.off, n)
+// readPolytope reads an appendPolytope block. The floats are the raw
+// bits, so the decoded polytope is bit-identical to the encoded one.
+func readPolytope(r *binfmt.Reader) (*poly.Polytope, error) {
+	rows, cols := int(r.U16()), int(r.U16())
+	if rows < 1 || rows > MaxRows || cols < 1 || cols > MaxDim {
+		return nil, r.Fail(fmt.Errorf("artifact: polytope %d×%d outside [1, %d]×[1, %d]", rows, cols, MaxRows, MaxDim))
 	}
-	return nil
-}
-
-func (d *decoder) u8() byte    { v := d.b[d.off]; d.off++; return v }
-func (d *decoder) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.off:]); d.off += 2; return v }
-func (d *decoder) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
-func (d *decoder) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
-
-// f64s reads n floats, checking the byte count before allocating.
-func (d *decoder) f64s(n int) ([]float64, error) {
-	if err := d.need(8 * n); err != nil {
+	a := &mat.Mat{R: rows, C: cols, Data: r.F64s(rows * cols)}
+	b := r.F64s(rows)
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.u64())
-	}
-	return out, nil
-}
-
-func (d *decoder) str() (string, error) {
-	if err := d.need(2); err != nil {
-		return "", err
-	}
-	n := int(d.u16())
-	if n > MaxString {
-		return "", fmt.Errorf("artifact: string length %d exceeds %d", n, MaxString)
-	}
-	if err := d.need(n); err != nil {
-		return "", err
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
-
-func (d *decoder) polytope() (*poly.Polytope, error) {
-	p, n, err := poly.DecodeBinary(d.b[d.off:], MaxRows, MaxDim)
-	if err != nil {
-		return nil, err
-	}
-	d.off += n
-	return p, nil
+	return poly.New(a, b), nil
 }
 
 // Decode parses a canonical binary artifact. It is strict: unknown
@@ -195,154 +124,95 @@ func (d *decoder) polytope() (*poly.Polytope, error) {
 // corresponding allocation — a hostile input cannot make Decode allocate
 // more than the input's own size justifies.
 func Decode(b []byte) (*Artifact, error) {
-	d := &decoder{b: b}
-	if err := d.need(4 + 2); err != nil {
+	r := binfmt.NewReader("artifact", b)
+	if err := r.Header(magic, Version); err != nil {
 		return nil, err
 	}
-	if string(d.b[:4]) != magic {
-		return nil, fmt.Errorf("%w %q", ErrBadMagic, d.b[:4])
-	}
-	d.off = 4
-	a := &Artifact{Version: int(d.u16())}
-	if a.Version != Version {
-		return nil, fmt.Errorf("%w %d (want %d)", ErrBadVersion, a.Version, Version)
-	}
-	if err := d.need(2 + 2 + 2 + 4 + 4 + 8); err != nil {
-		return nil, err
-	}
-	a.NX = int(d.u16())
-	a.NU = int(d.u16())
-	a.Meta.Memory = int(d.u16())
-	a.Meta.TrainEpisodes = int(d.u32())
-	a.Meta.TrainSteps = int(d.u32())
-	a.Meta.TrainSeed = int64(d.u64())
+	a := &Artifact{Version: Version, NX: int(r.U16()), NU: int(r.U16()), Meta: trace.ReadMeta(r)}
 	var err error
-	if a.Meta.Plant, err = d.str(); err != nil {
-		return nil, err
+	for _, s := range []**poly.Polytope{&a.Sets.X, &a.Sets.XI, &a.Sets.XPrime} {
+		if *s, err = readPolytope(r); err != nil {
+			return nil, err
+		}
 	}
-	if a.Meta.Scenario, err = d.str(); err != nil {
-		return nil, err
-	}
-	if a.Meta.Policy, err = d.str(); err != nil {
-		return nil, err
-	}
-	if a.Sets.X, err = d.polytope(); err != nil {
-		return nil, err
-	}
-	if a.Sets.XI, err = d.polytope(); err != nil {
-		return nil, err
-	}
-	if a.Sets.XPrime, err = d.polytope(); err != nil {
-		return nil, err
-	}
-	if err := d.need(2); err != nil {
-		return nil, err
-	}
-	chainLen := int(d.u16())
+	chainLen := int(r.U16())
 	if chainLen > MaxChain {
 		return nil, fmt.Errorf("artifact: skip chain length %d exceeds %d", chainLen, MaxChain)
 	}
 	for i := 0; i < chainLen; i++ {
-		s, err := d.polytope()
+		s, err := readPolytope(r)
 		if err != nil {
 			return nil, err
 		}
 		a.Chain = append(a.Chain, s)
 	}
-	if err := d.need(1); err != nil {
-		return nil, err
-	}
-	switch kind := d.u8(); kind {
+	switch kind := r.U8(); kind {
 	case policyKindNone:
 	case policyKindSnapshot:
-		p := &Policy{}
-		if p.Label, err = d.str(); err != nil {
+		if a.Policy, err = readPolicy(r); err != nil {
 			return nil, err
 		}
-		if err := d.need(2 + 2); err != nil {
-			return nil, err
-		}
-		p.Memory = int(d.u16())
-		nsizes := int(d.u16())
-		if nsizes < 2 || nsizes > MaxLayers+1 {
-			return nil, fmt.Errorf("artifact: policy has %d layer sizes outside [2, %d]", nsizes, MaxLayers+1)
-		}
-		if err := d.need(2 * nsizes); err != nil {
-			return nil, err
-		}
-		p.Sizes = make([]int, nsizes)
-		for i := range p.Sizes {
-			p.Sizes[i] = int(d.u16())
-			if p.Sizes[i] < 1 || p.Sizes[i] > MaxUnits {
-				return nil, fmt.Errorf("artifact: policy layer %d size %d outside [1, %d]", i, p.Sizes[i], MaxUnits)
-			}
-		}
-		for l := 0; l < nsizes-1; l++ {
-			r, c := p.Sizes[l+1], p.Sizes[l]
-			w, err := d.f64s(r * c)
-			if err != nil {
-				return nil, err
-			}
-			bs, err := d.f64s(r)
-			if err != nil {
-				return nil, err
-			}
-			p.Weights = append(p.Weights, w)
-			p.Biases = append(p.Biases, bs)
-		}
-		if err := d.need(2); err != nil {
-			return nil, err
-		}
-		nx := int(d.u16())
-		if nx < 1 || nx > MaxDim {
-			return nil, fmt.Errorf("artifact: policy state bounds length %d outside [1, %d]", nx, MaxDim)
-		}
-		if p.XCenter, err = d.f64s(nx); err != nil {
-			return nil, err
-		}
-		if p.XScale, err = d.f64s(nx); err != nil {
-			return nil, err
-		}
-		if err := d.need(2); err != nil {
-			return nil, err
-		}
-		nw := int(d.u16())
-		if nw < 1 || nw > MaxDim {
-			return nil, fmt.Errorf("artifact: policy disturbance bounds length %d outside [1, %d]", nw, MaxDim)
-		}
-		if p.WScale, err = d.f64s(nw); err != nil {
-			return nil, err
-		}
-		a.Policy = p
 	default:
 		return nil, fmt.Errorf("artifact: unknown policy kind %d", kind)
 	}
-	if err := d.need(4 + 4 + 8 + 8 + 8 + 4); err != nil {
-		return nil, err
+	a.Train = TrainStats{
+		Episodes:     int(r.U32()),
+		TotalSteps:   int(r.U32()),
+		MeanReward:   r.F64(),
+		FinalEpsilon: r.F64(),
+		FinalLossEMA: r.F64(),
 	}
-	a.Train.Episodes = int(d.u32())
-	a.Train.TotalSteps = int(d.u32())
-	a.Train.MeanReward = math.Float64frombits(d.u64())
-	a.Train.FinalEpsilon = math.Float64frombits(d.u64())
-	a.Train.FinalLossEMA = math.Float64frombits(d.u64())
-	nhist := int(d.u32())
+	nhist := int(r.U32())
 	if nhist > MaxHistory {
 		return nil, fmt.Errorf("artifact: reward history length %d exceeds %d", nhist, MaxHistory)
 	}
 	if nhist > 0 {
-		if a.Train.RewardHistory, err = d.f64s(nhist); err != nil {
-			return nil, err
-		}
+		a.Train.RewardHistory = r.F64s(nhist)
 	}
-	if len(d.b)-d.off != 4 {
-		return nil, fmt.Errorf("artifact: %d trailing bytes after body", len(d.b)-d.off-4)
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	sum := d.u32()
-	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != sum {
-		return nil, fmt.Errorf("%w (stored %08x, computed %08x)", ErrChecksum, sum, got)
+	if r.Len() != 4 {
+		return nil, fmt.Errorf("artifact: %d trailing bytes after body", r.Len()-4)
+	}
+	if err := binfmt.CheckCRC("artifact", b); err != nil {
+		return nil, err
 	}
 	if err := a.Validate(); err != nil {
 		return nil, err
 	}
 	return a, nil
+}
+
+// readPolicy reads the body of a snapshot policy (kind 1).
+func readPolicy(r *binfmt.Reader) (*Policy, error) {
+	p := &Policy{Label: r.Str(MaxString), Memory: int(r.U16())}
+	nsizes := int(r.U16())
+	if nsizes < 2 || nsizes > MaxLayers+1 {
+		return nil, r.Fail(fmt.Errorf("artifact: policy has %d layer sizes outside [2, %d]", nsizes, MaxLayers+1))
+	}
+	p.Sizes = make([]int, nsizes)
+	for i := range p.Sizes {
+		p.Sizes[i] = int(r.U16())
+		if p.Sizes[i] < 1 || p.Sizes[i] > MaxUnits {
+			return nil, r.Fail(fmt.Errorf("artifact: policy layer %d size %d outside [1, %d]", i, p.Sizes[i], MaxUnits))
+		}
+	}
+	for l := 0; l < nsizes-1; l++ {
+		rows, cols := p.Sizes[l+1], p.Sizes[l]
+		p.Weights = append(p.Weights, r.F64s(rows*cols))
+		p.Biases = append(p.Biases, r.F64s(rows))
+	}
+	nx := int(r.U16())
+	if nx < 1 || nx > MaxDim {
+		return nil, r.Fail(fmt.Errorf("artifact: policy state bounds length %d outside [1, %d]", nx, MaxDim))
+	}
+	p.XCenter = r.F64s(nx)
+	p.XScale = r.F64s(nx)
+	nw := int(r.U16())
+	if nw < 1 || nw > MaxDim {
+		return nil, r.Fail(fmt.Errorf("artifact: policy disturbance bounds length %d outside [1, %d]", nw, MaxDim))
+	}
+	p.WScale = r.F64s(nw)
+	return p, r.Err()
 }

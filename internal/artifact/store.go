@@ -35,8 +35,8 @@ const (
 // partial artifact.
 type Store struct {
 	dir    string
-	faults *fault.Injector          // nil-safe deterministic fault injection
-	sleep  func(d time.Duration)    // test seam; nil means time.Sleep
+	faults *fault.Injector       // nil-safe deterministic fault injection
+	sleep  func(d time.Duration) // test seam; nil means time.Sleep
 
 	hits    atomic.Int64
 	misses  atomic.Int64

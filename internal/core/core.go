@@ -259,12 +259,12 @@ func (f *Framework) Monitor() *Monitor { return f.monitor }
 // sessions over one shared framework never race and every session's solve
 // chain (cold first run, warm afterwards) depends only on its own steps.
 type Session struct {
-	f      *Framework
-	kappa  controller.Controller
-	x      mat.Vec // current state (owned buffer)
-	xNext  mat.Vec // successor scratch, swapped with x each step
-	zeroU  mat.Vec // the skip input; never written
-	t      int
+	f       *Framework
+	kappa   controller.Controller
+	x       mat.Vec // current state (owned buffer)
+	xNext   mat.Vec // successor scratch, swapped with x each step
+	zeroU   mat.Vec // the skip input; never written
+	t       int
 	wHist   []mat.Vec // ring of owned buffers, most recent last
 	record  bool
 	degrade bool

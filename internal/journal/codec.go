@@ -1,10 +1,10 @@
 package journal
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
+
+	"oic/internal/binfmt"
+	"oic/internal/trace"
 )
 
 // Segment layout (all integers little-endian, floats IEEE-754 bits):
@@ -21,8 +21,10 @@ import (
 //	payload (per-type layout below)
 //	u32     CRC-32 (IEEE) of the preceding 5+length bytes
 //
-// Per-type payloads (str = u16 length + bytes, mirroring the trace
-// codec; step flags reuse the trace step flag byte):
+// Per-type payloads (primitives from internal/binfmt, str = u16 length
+// + bytes; the memory…policy run is trace.AppendMeta and the flags byte
+// is trace.PackFlags, so the fingerprint and step flags are encoded by
+// the same code the trace and artifact formats use):
 //
 //	open:        str id, u16 nx, u16 nu, u16 memory, u32 episodes,
 //	             u32 steps, u64 seed, str plant, str scenario,
@@ -50,60 +52,23 @@ const (
 	HeaderSize = 8
 	// frameOverhead is a record's framing cost: length, type, CRC.
 	frameOverhead = 4 + 1 + 4
-
-	flagRan    = 1 << 0
-	flagForced = 1 << 1
-	levelShift = 2
-	levelMask  = 0b11
-	flagKnown  = flagRan | flagForced | levelMask<<levelShift
 )
 
 // AppendHeader appends a segment header to dst.
 func AppendHeader(dst []byte) []byte {
-	dst = append(dst, magic...)
-	dst = binary.LittleEndian.AppendUint16(dst, Version)
-	dst = binary.LittleEndian.AppendUint16(dst, 0)
-	return dst
+	return binfmt.AppendU16(binfmt.AppendHeader(dst, magic, Version), 0)
 }
 
 // CheckHeader validates a segment header prefix.
 func CheckHeader(b []byte) error {
-	if len(b) < HeaderSize {
-		return fmt.Errorf("journal: segment shorter than header (%d bytes)", len(b))
+	r := binfmt.NewReader("journal", b)
+	if err := r.Header(magic, Version); err != nil {
+		return err
 	}
-	if string(b[:4]) != magic {
-		return fmt.Errorf("journal: bad magic %q", b[:4])
+	if res := r.U16(); res != 0 {
+		return fmt.Errorf("journal: nonzero reserved field %d", res)
 	}
-	if v := binary.LittleEndian.Uint16(b[4:]); v != Version {
-		return fmt.Errorf("journal: unsupported version %d (want %d)", v, Version)
-	}
-	if r := binary.LittleEndian.Uint16(b[6:]); r != 0 {
-		return fmt.Errorf("journal: nonzero reserved field %d", r)
-	}
-	return nil
-}
-
-func appendStr(dst []byte, s string) []byte {
-	dst = binary.LittleEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func appendF64s(dst []byte, vs []float64) []byte {
-	for _, v := range vs {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-	}
-	return dst
-}
-
-func stepFlags(ran, forced bool, level uint8) byte {
-	var f byte
-	if ran {
-		f |= flagRan
-	}
-	if forced {
-		f |= flagForced
-	}
-	return f | (level&levelMask)<<levelShift
+	return r.Err()
 }
 
 // AppendRecord validates r and appends its framed encoding to dst.
@@ -117,158 +82,74 @@ func AppendRecord(dst []byte, r *Record) ([]byte, error) {
 	// Reserve the length prefix; backfill once the payload is known.
 	dst = append(dst, 0, 0, 0, 0, byte(r.Type))
 	body := len(dst)
-	dst = appendStr(dst, r.ID)
+	dst = binfmt.AppendStr(dst, r.ID)
 	switch r.Type {
 	case TypeOpen, TypeFleetOpen:
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NU))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.Meta.Memory))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Meta.TrainEpisodes))
-		dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Meta.TrainSteps))
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(r.Meta.TrainSeed))
-		dst = appendStr(dst, r.Meta.Plant)
-		dst = appendStr(dst, r.Meta.Scenario)
-		dst = appendStr(dst, r.Meta.Policy)
+		dst = binfmt.AppendU16(dst, uint16(r.NX))
+		dst = binfmt.AppendU16(dst, uint16(r.NU))
+		dst = trace.AppendMeta(dst, &r.Meta)
 		if r.Type == TypeOpen {
-			dst = appendF64s(dst, r.X0)
+			dst = binfmt.AppendF64s(dst, r.X0)
 		} else {
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Budget))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.Workers))
-			dst = binary.LittleEndian.AppendUint32(dst, uint32(r.MaxSessions))
+			dst = binfmt.AppendU32(dst, uint32(r.Budget))
+			dst = binfmt.AppendU32(dst, uint32(r.Workers))
+			dst = binfmt.AppendU32(dst, uint32(r.MaxSessions))
 		}
 	case TypeStep:
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NU))
-		dst = append(dst, stepFlags(r.Ran, r.Forced, r.Level))
-		dst = appendF64s(dst, r.W)
-		dst = appendF64s(dst, r.U)
-		dst = appendF64s(dst, r.X)
+		dst = appendStep(dst, r)
 	case TypeClose, TypeFleetClose:
 		// id only
 	case TypeFleetAdmit:
-		dst = binary.LittleEndian.AppendUint32(dst, r.Member)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = appendF64s(dst, r.X0)
+		dst = binfmt.AppendU32(dst, r.Member)
+		dst = binfmt.AppendU16(dst, uint16(r.NX))
+		dst = binfmt.AppendF64s(dst, r.X0)
 	case TypeFleetStep:
-		dst = binary.LittleEndian.AppendUint32(dst, r.Member)
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NX))
-		dst = binary.LittleEndian.AppendUint16(dst, uint16(r.NU))
-		dst = append(dst, stepFlags(r.Ran, r.Forced, r.Level))
-		dst = appendF64s(dst, r.W)
-		dst = appendF64s(dst, r.U)
-		dst = appendF64s(dst, r.X)
+		dst = binfmt.AppendU32(dst, r.Member)
+		dst = appendStep(dst, r)
 	case TypeFleetEvict:
-		dst = binary.LittleEndian.AppendUint32(dst, r.Member)
+		dst = binfmt.AppendU32(dst, r.Member)
 	}
 	payload := len(dst) - body
 	if payload > MaxPayload {
 		return nil, fmt.Errorf("journal: record payload %d exceeds %d", payload, MaxPayload)
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(payload))
-	sum := crc32.ChecksumIEEE(dst[start:])
-	return binary.LittleEndian.AppendUint32(dst, sum), nil
+	binfmt.PutU32(dst[start:], uint32(payload))
+	return binfmt.AppendCRC(dst, start), nil
 }
 
-// rdecoder is a bounds-checked cursor over one record payload.
-type rdecoder struct {
-	b   []byte
-	off int
+// appendStep appends the step payload shared by step and fleet-step.
+func appendStep(dst []byte, r *Record) []byte {
+	dst = binfmt.AppendU16(dst, uint16(r.NX))
+	dst = binfmt.AppendU16(dst, uint16(r.NU))
+	dst = append(dst, trace.PackFlags(r.Ran, r.Forced, r.Level))
+	dst = binfmt.AppendF64s(dst, r.W)
+	dst = binfmt.AppendF64s(dst, r.U)
+	return binfmt.AppendF64s(dst, r.X)
 }
 
-func (d *rdecoder) need(n int) error {
-	if len(d.b)-d.off < n {
-		return fmt.Errorf("journal: truncated payload at offset %d (need %d bytes)", d.off, n)
-	}
-	return nil
-}
-
-func (d *rdecoder) u8() byte    { v := d.b[d.off]; d.off++; return v }
-func (d *rdecoder) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.off:]); d.off += 2; return v }
-func (d *rdecoder) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
-func (d *rdecoder) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
-
-func (d *rdecoder) f64s(n int) ([]float64, error) {
-	if err := d.need(8 * n); err != nil {
-		return nil, err
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.u64())
-	}
-	return out, nil
-}
-
-func (d *rdecoder) str() (string, error) {
-	if err := d.need(2); err != nil {
-		return "", err
-	}
-	n := int(d.u16())
-	if n > MaxString {
-		return "", fmt.Errorf("journal: string length %d exceeds %d", n, MaxString)
-	}
-	if err := d.need(n); err != nil {
-		return "", err
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
-}
-
-func (d *rdecoder) dims(r *Record) error {
-	if err := d.need(4); err != nil {
-		return err
-	}
-	r.NX, r.NU = int(d.u16()), int(d.u16())
+// readDims reads u16 nx · u16 nu and bounds them.
+func readDims(d *binfmt.Reader, r *Record) error {
+	r.NX, r.NU = int(d.U16()), int(d.U16())
 	if r.NX < 1 || r.NX > MaxDim || r.NU < 1 || r.NU > MaxDim {
-		return fmt.Errorf("journal: dimensions %d×%d outside [1, %d]", r.NX, r.NU, MaxDim)
+		return d.Fail(fmt.Errorf("journal: dimensions %d×%d outside [1, %d]", r.NX, r.NU, MaxDim))
 	}
 	return nil
 }
 
-func (d *rdecoder) meta(r *Record) error {
-	if err := d.need(2 + 4 + 4 + 8); err != nil {
+// readStep reads what appendStep wrote.
+func readStep(d *binfmt.Reader, r *Record) error {
+	if err := readDims(d, r); err != nil {
 		return err
 	}
-	r.Meta.Memory = int(d.u16())
-	r.Meta.TrainEpisodes = int(d.u32())
-	r.Meta.TrainSteps = int(d.u32())
-	r.Meta.TrainSeed = int64(d.u64())
-	if r.Meta.Memory > MaxDim {
-		return fmt.Errorf("journal: memory %d exceeds %d", r.Meta.Memory, MaxDim)
+	f := d.U8()
+	var ok bool
+	if r.Ran, r.Forced, r.Level, ok = trace.UnpackFlags(f); !ok {
+		return d.Fail(fmt.Errorf("journal: unknown flag bits 0x%02x", f))
 	}
-	var err error
-	if r.Meta.Plant, err = d.str(); err != nil {
-		return err
-	}
-	if r.Meta.Scenario, err = d.str(); err != nil {
-		return err
-	}
-	if r.Meta.Policy, err = d.str(); err != nil {
-		return err
-	}
+	r.W = d.F64s(r.NX)
+	r.U = d.F64s(r.NU)
+	r.X = d.F64s(r.NX)
 	return nil
-}
-
-func (d *rdecoder) step(r *Record) error {
-	if err := d.need(1); err != nil {
-		return err
-	}
-	flags := d.u8()
-	if flags&^byte(flagKnown) != 0 {
-		return fmt.Errorf("journal: unknown flag bits 0x%02x", flags)
-	}
-	r.Ran = flags&flagRan != 0
-	r.Forced = flags&flagForced != 0
-	r.Level = (flags >> levelShift) & levelMask
-	var err error
-	if r.W, err = d.f64s(r.NX); err != nil {
-		return err
-	}
-	if r.U, err = d.f64s(r.NU); err != nil {
-		return err
-	}
-	r.X, err = d.f64s(r.NX)
-	return err
 }
 
 // DecodeRecord parses one framed record from the front of b, returning
@@ -280,7 +161,9 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 	if len(b) < frameOverhead {
 		return nil, 0, fmt.Errorf("journal: truncated frame (%d bytes)", len(b))
 	}
-	n := int(binary.LittleEndian.Uint32(b))
+	frame := binfmt.NewReader("journal", b)
+	n := int(frame.U32())
+	r := &Record{Type: Type(frame.U8())}
 	if n > MaxPayload {
 		return nil, 0, fmt.Errorf("journal: payload length %d exceeds %d", n, MaxPayload)
 	}
@@ -288,78 +171,52 @@ func DecodeRecord(b []byte) (*Record, int, error) {
 	if len(b) < total {
 		return nil, 0, fmt.Errorf("journal: truncated record (have %d of %d bytes)", len(b), total)
 	}
-	stored := binary.LittleEndian.Uint32(b[total-4:])
-	if got := crc32.ChecksumIEEE(b[:total-4]); got != stored {
-		return nil, 0, fmt.Errorf("journal: checksum mismatch (stored %08x, computed %08x)", stored, got)
-	}
-	r := &Record{Type: Type(b[4])}
-	d := &rdecoder{b: b[5 : total-4]}
-	var err error
-	if r.ID, err = d.str(); err != nil {
+	if err := binfmt.CheckCRC("journal", b[:total]); err != nil {
 		return nil, 0, err
 	}
+	d := binfmt.NewReader("journal", b[5:total-4])
+	r.ID = d.Str(MaxString)
 	switch r.Type {
 	case TypeOpen, TypeFleetOpen:
-		if err := d.dims(r); err != nil {
+		if err := readDims(d, r); err != nil {
 			return nil, 0, err
 		}
-		if err := d.meta(r); err != nil {
-			return nil, 0, err
-		}
+		r.Meta = trace.ReadMeta(d)
 		if r.Type == TypeOpen {
-			if r.X0, err = d.f64s(r.NX); err != nil {
-				return nil, 0, err
-			}
+			r.X0 = d.F64s(r.NX)
 		} else {
-			if err := d.need(12); err != nil {
-				return nil, 0, err
-			}
-			r.Budget = int(d.u32())
-			r.Workers = int(d.u32())
-			r.MaxSessions = int(d.u32())
+			r.Budget = int(d.U32())
+			r.Workers = int(d.U32())
+			r.MaxSessions = int(d.U32())
 		}
 	case TypeStep:
-		if err := d.dims(r); err != nil {
-			return nil, 0, err
-		}
-		if err := d.step(r); err != nil {
+		if err := readStep(d, r); err != nil {
 			return nil, 0, err
 		}
 	case TypeClose, TypeFleetClose:
 		// id only
 	case TypeFleetAdmit:
-		if err := d.need(4 + 2); err != nil {
-			return nil, 0, err
-		}
-		r.Member = d.u32()
-		r.NX = int(d.u16())
+		r.Member = d.U32()
+		r.NX = int(d.U16())
 		if r.NX < 1 || r.NX > MaxDim {
-			return nil, 0, fmt.Errorf("journal: nx %d outside [1, %d]", r.NX, MaxDim)
+			return nil, 0, d.Fail(fmt.Errorf("journal: nx %d outside [1, %d]", r.NX, MaxDim))
 		}
-		if r.X0, err = d.f64s(r.NX); err != nil {
-			return nil, 0, err
-		}
+		r.X0 = d.F64s(r.NX)
 	case TypeFleetStep:
-		if err := d.need(4); err != nil {
-			return nil, 0, err
-		}
-		r.Member = d.u32()
-		if err := d.dims(r); err != nil {
-			return nil, 0, err
-		}
-		if err := d.step(r); err != nil {
+		r.Member = d.U32()
+		if err := readStep(d, r); err != nil {
 			return nil, 0, err
 		}
 	case TypeFleetEvict:
-		if err := d.need(4); err != nil {
-			return nil, 0, err
-		}
-		r.Member = d.u32()
+		r.Member = d.U32()
 	default:
-		return nil, 0, fmt.Errorf("journal: unknown record type %d", r.Type)
+		return nil, 0, d.Fail(fmt.Errorf("journal: unknown record type %d", r.Type))
 	}
-	if d.off != len(d.b) {
-		return nil, 0, fmt.Errorf("journal: %d trailing payload bytes", len(d.b)-d.off)
+	if err := d.Err(); err != nil {
+		return nil, 0, err
+	}
+	if d.Len() != 0 {
+		return nil, 0, fmt.Errorf("journal: %d trailing payload bytes", d.Len())
 	}
 	if err := r.Validate(); err != nil {
 		return nil, 0, err

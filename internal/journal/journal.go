@@ -19,10 +19,17 @@
 // exactly what a power cut mid-write leaves behind — and is counted,
 // never fatal. FuzzDecodeJournal pins that no byte prefix panics and
 // that every accepted record re-encodes to identical bytes.
+//
+// The codec is written on internal/binfmt, like the trace and artifact
+// codecs, and takes the fingerprint block (trace.AppendMeta/ReadMeta,
+// checked by trace.Meta.Validate) and the step-flag byte
+// (trace.PackFlags/UnpackFlags) from internal/trace, so the three
+// formats share one encoding of each.
 package journal
 
 import (
 	"fmt"
+	"math"
 
 	"oic/internal/trace"
 )
@@ -119,9 +126,9 @@ type Record struct {
 	Budget, Workers, MaxSessions int
 
 	// Step payload (step, fleet-step) — mirrors trace.Step.
-	Ran    bool
-	Forced bool
-	Level  uint8
+	Ran     bool
+	Forced  bool
+	Level   uint8
 	W, U, X []float64
 }
 
@@ -145,19 +152,8 @@ func (r *Record) Validate() error {
 		return nil
 	}
 	checkMeta := func() error {
-		if r.Meta.Plant == "" {
-			return fmt.Errorf("journal: %s record with empty plant", r.Type)
-		}
-		for _, s := range []string{r.Meta.Plant, r.Meta.Scenario, r.Meta.Policy} {
-			if len(s) > MaxString {
-				return fmt.Errorf("journal: fingerprint string exceeds %d bytes", MaxString)
-			}
-		}
-		if r.Meta.Memory < 0 || r.Meta.Memory > MaxDim {
-			return fmt.Errorf("journal: memory %d outside [0, %d]", r.Meta.Memory, MaxDim)
-		}
-		if r.Meta.TrainEpisodes < 0 || r.Meta.TrainSteps < 0 {
-			return fmt.Errorf("journal: negative training budget")
+		if err := r.Meta.Validate(); err != nil {
+			return fmt.Errorf("journal: %s record: %w", r.Type, err)
 		}
 		return nil
 	}
@@ -200,8 +196,10 @@ func (r *Record) Validate() error {
 		if err := checkMeta(); err != nil {
 			return err
 		}
-		if r.Budget < 0 || r.Workers < 0 || r.MaxSessions < 0 {
-			return fmt.Errorf("journal: negative fleet shape")
+		for _, v := range []int{r.Budget, r.Workers, r.MaxSessions} {
+			if v < 0 || v > math.MaxUint32 {
+				return fmt.Errorf("journal: fleet shape %d/%d/%d outside uint32", r.Budget, r.Workers, r.MaxSessions)
+			}
 		}
 	case TypeFleetAdmit:
 		if r.NX < 1 || r.NX > MaxDim {

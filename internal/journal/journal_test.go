@@ -514,6 +514,11 @@ func TestValidateRejects(t *testing.T) {
 		{Type: TypeStep, ID: "s", NX: 2, NU: 1, Level: 4, W: []float64{1, 2}, U: []float64{1}, X: []float64{1, 2}},
 		{Type: TypeStep, ID: "s", NX: 2, NU: 1, W: []float64{1}, U: []float64{1}, X: []float64{1, 2}},
 		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, Budget: -1},
+		// The fleet shape is encoded as u32: wider values would decode as
+		// a different fleet (1<<32 + 96 reads back as 96).
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, Budget: 1<<32 + 96},
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, Workers: 1 << 32},
+		{Type: TypeFleetOpen, ID: "f", Meta: trace.Meta{Plant: "acc"}, NX: 2, NU: 1, MaxSessions: 1 << 32},
 		{Type: TypeFleetAdmit, ID: "f", NX: 2, X0: []float64{1}},
 		{Type: Type(99), ID: "x"},
 	}
@@ -524,5 +529,40 @@ func TestValidateRejects(t *testing.T) {
 		if _, err := AppendRecord(nil, r); err == nil {
 			t.Errorf("case %d (%s): invalid record encoded", i, r.Type)
 		}
+	}
+}
+
+// A training budget wider than its u32 field is rejected by the shared
+// fingerprint check in both formats that carry it, instead of encoding
+// as a different budget (1<<32 would read back as 0).
+func TestTrainingBudgetOverU32Rejected(t *testing.T) {
+	meta := trace.Meta{Plant: "acc", Scenario: "acc-default", Policy: "drl", TrainEpisodes: 1 << 32}
+	tr := &trace.Trace{Version: trace.Version, Meta: meta, NX: 2, NU: 1, X0: []float64{10, -0.5}}
+	if _, err := trace.Encode(tr); err == nil {
+		t.Error("trace.Encode accepted a training budget wider than u32")
+	}
+	open := &Record{Type: TypeOpen, ID: "s-1", Meta: meta, NX: 2, NU: 1, X0: []float64{10, -0.5}}
+	if _, err := AppendRecord(nil, open); err == nil {
+		t.Error("AppendRecord accepted a training budget wider than u32")
+	}
+}
+
+// A fleet-step append into a buffer with room is allocation-free: it is
+// the durable fleet's hot path, one append per member step.
+func TestAppendFleetStepAllocatesNothing(t *testing.T) {
+	var step *Record
+	for _, r := range sampleRecords() {
+		if r.Type == TypeFleetStep {
+			step = r
+		}
+	}
+	buf := make([]byte, 0, 256)
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := AppendRecord(buf[:0], step); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("fleet-step AppendRecord allocated %.0f times, want 0", allocs)
 	}
 }

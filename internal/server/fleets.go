@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 	"sync/atomic"
@@ -76,11 +77,13 @@ func validateFleetCreate(req *oic.CreateFleetRequest) error {
 	if req.Size < 0 || req.Size > limit {
 		return badRequest(fmt.Sprintf("size %d outside [0, max_sessions %d]", req.Size, limit))
 	}
-	if req.ComputeBudget < 0 {
-		return badRequest("compute_budget must be ≥ 0")
+	// The journal records the fleet shape as u32 fields; a wider value
+	// would be served now and recover as a different fleet.
+	if req.ComputeBudget < 0 || req.ComputeBudget > math.MaxUint32 {
+		return badRequest(fmt.Sprintf("compute_budget %d outside [0, %d]", req.ComputeBudget, uint32(math.MaxUint32)))
 	}
-	if req.Workers < 0 {
-		return badRequest("workers must be ≥ 0")
+	if req.Workers < 0 || req.Workers > math.MaxUint32 {
+		return badRequest(fmt.Sprintf("workers %d outside [0, %d]", req.Workers, uint32(math.MaxUint32)))
 	}
 	if req.TickDeadline < 0 {
 		return badRequest("tick_deadline_ns must be ≥ 0")

@@ -113,6 +113,9 @@ func TestFleetValidation(t *testing.T) {
 		{"size over max", oic.CreateFleetRequest{Plant: "acc", MaxSessions: 4, Size: 5}, http.StatusBadRequest},
 		{"negative budget", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: -1}, http.StatusBadRequest},
 		{"negative workers", oic.CreateFleetRequest{Plant: "acc", Workers: -1}, http.StatusBadRequest},
+		// The journal's fleet-open record holds these as u32.
+		{"budget over u32", oic.CreateFleetRequest{Plant: "acc", ComputeBudget: 1<<32 + 96}, http.StatusBadRequest},
+		{"workers over u32", oic.CreateFleetRequest{Plant: "acc", Workers: 1<<32 + 2}, http.StatusBadRequest},
 	}
 	for _, tc := range cases {
 		var er oic.ErrorResponse

@@ -1,30 +1,26 @@
 package trace
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"math"
+
+	"oic/internal/binfmt"
 )
 
-// Binary wire layout (all integers little-endian, floats IEEE-754 bits):
+// Binary wire layout (all integers little-endian, floats IEEE-754 bits,
+// primitives from internal/binfmt):
 //
 //	magic   [4]byte  "OICT"
 //	u16     version
 //	u16     nx
 //	u16     nu
-//	u16     memory
-//	u32     train episodes
-//	u32     train steps
-//	u64     train seed (two's complement)
-//	str     plant     (u16 length + bytes)
-//	str     scenario  (u16 length + bytes)
-//	str     policy    (u16 length + bytes)
+//	meta    (AppendMeta: u16 memory, u32 train episodes, u32 train
+//	        steps, u64 train seed, str plant, str scenario, str policy;
+//	        str = u16 length + bytes)
 //	u32     step count
 //	f64     energy
 //	f64×nx  x0
-//	steps:  u8 flags (bit0 ran, bit1 forced, bits 2–3 level, rest zero)
-//	        f64×nx w, f64×nu u, f64×nx x
+//	steps:  u8 flags (PackFlags: bit0 ran, bit1 forced, bits 2–3 level,
+//	        rest zero), f64×nx w, f64×nu u, f64×nx x
 //	u32     CRC-32 (IEEE) of every preceding byte
 //
 // The layout has no optional fields and no padding, so every valid trace
@@ -40,15 +36,55 @@ const (
 	flagKnown  = flagRan | flagForced | levelMask<<levelShift
 )
 
+// PackFlags packs a step's skip/run decision into the step-flag byte the
+// trace and journal formats share: bit0 ran, bit1 forced, bits 2–3 level.
+func PackFlags(ran, forced bool, level uint8) byte {
+	var f byte
+	if ran {
+		f |= flagRan
+	}
+	if forced {
+		f |= flagForced
+	}
+	return f | (level&levelMask)<<levelShift
+}
+
+// UnpackFlags inverts PackFlags. ok is false when f has a bit set that
+// PackFlags never writes.
+func UnpackFlags(f byte) (ran, forced bool, level uint8, ok bool) {
+	return f&flagRan != 0, f&flagForced != 0, (f >> levelShift) & levelMask, f&^byte(flagKnown) == 0
+}
+
+// AppendMeta appends the fingerprint block the trace, artifact and
+// journal formats share: u16 memory, u32 train episodes, u32 train
+// steps, u64 train seed (two's complement), then the plant, scenario and
+// policy strings. m must be valid (Meta.Validate).
+func AppendMeta(dst []byte, m *Meta) []byte {
+	dst = binfmt.AppendU16(dst, uint16(m.Memory))
+	dst = binfmt.AppendU32(dst, uint32(m.TrainEpisodes))
+	dst = binfmt.AppendU32(dst, uint32(m.TrainSteps))
+	dst = binfmt.AppendU64(dst, uint64(m.TrainSeed))
+	dst = binfmt.AppendStr(dst, m.Plant)
+	dst = binfmt.AppendStr(dst, m.Scenario)
+	return binfmt.AppendStr(dst, m.Policy)
+}
+
+// ReadMeta reads a block written by AppendMeta. Failures stay on r; the
+// caller checks r.Err and then Meta.Validate.
+func ReadMeta(r *binfmt.Reader) Meta {
+	return Meta{
+		Memory:        int(r.U16()),
+		TrainEpisodes: int(r.U32()),
+		TrainSteps:    int(r.U32()),
+		TrainSeed:     int64(r.U64()),
+		Plant:         r.Str(MaxString),
+		Scenario:      r.Str(MaxString),
+		Policy:        r.Str(MaxString),
+	}
+}
+
 // stepSize returns the encoded size of one step for the given dimensions.
 func stepSize(nx, nu int) int { return 1 + 8*(2*nx+nu) }
-
-// EncodedSize returns the exact byte length Encode will produce.
-func (t *Trace) EncodedSize() int {
-	return 4 + 2 + 2 + 2 + 2 + 4 + 4 + 8 +
-		2 + len(t.Meta.Plant) + 2 + len(t.Meta.Scenario) + 2 + len(t.Meta.Policy) +
-		4 + 8 + 8*t.NX + len(t.Steps)*stepSize(t.NX, t.NU) + 4
-}
 
 // Encode serializes the trace into the canonical binary form. The trace
 // must be valid (Validate), or an error is returned.
@@ -56,88 +92,24 @@ func Encode(t *Trace) ([]byte, error) {
 	if err := t.Validate(); err != nil {
 		return nil, err
 	}
-	buf := make([]byte, 0, t.EncodedSize())
-	buf = append(buf, magic...)
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.Version))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.NX))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.NU))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.Meta.Memory))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Meta.TrainEpisodes))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.Meta.TrainSteps))
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.Meta.TrainSeed))
-	for _, s := range []string{t.Meta.Plant, t.Meta.Scenario, t.Meta.Policy} {
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(s)))
-		buf = append(buf, s...)
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(t.Steps)))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(t.Energy))
-	for _, v := range t.X0 {
-		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-	}
+	// Capacity hint: the steps dominate; long fingerprint strings may
+	// grow the buffer once.
+	buf := make([]byte, 0, 128+8*t.NX+len(t.Steps)*stepSize(t.NX, t.NU))
+	buf = binfmt.AppendHeader(buf, magic, Version)
+	buf = binfmt.AppendU16(buf, uint16(t.NX))
+	buf = binfmt.AppendU16(buf, uint16(t.NU))
+	buf = AppendMeta(buf, &t.Meta)
+	buf = binfmt.AppendU32(buf, uint32(len(t.Steps)))
+	buf = binfmt.AppendF64(buf, t.Energy)
+	buf = binfmt.AppendF64s(buf, t.X0)
 	for i := range t.Steps {
 		st := &t.Steps[i]
-		var flags byte
-		if st.Ran {
-			flags |= flagRan
-		}
-		if st.Forced {
-			flags |= flagForced
-		}
-		flags |= (st.Level & levelMask) << levelShift
-		buf = append(buf, flags)
-		for _, v := range st.W {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		for _, v := range st.U {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
-		for _, v := range st.X {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
-		}
+		buf = append(buf, PackFlags(st.Ran, st.Forced, st.Level))
+		buf = binfmt.AppendF64s(buf, st.W)
+		buf = binfmt.AppendF64s(buf, st.U)
+		buf = binfmt.AppendF64s(buf, st.X)
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-	return buf, nil
-}
-
-// decoder is a bounds-checked cursor over an encoded trace.
-type decoder struct {
-	b   []byte
-	off int
-}
-
-func (d *decoder) need(n int) error {
-	if len(d.b)-d.off < n {
-		return fmt.Errorf("trace: truncated at offset %d (need %d bytes)", d.off, n)
-	}
-	return nil
-}
-
-func (d *decoder) u8() byte    { v := d.b[d.off]; d.off++; return v }
-func (d *decoder) u16() uint16 { v := binary.LittleEndian.Uint16(d.b[d.off:]); d.off += 2; return v }
-func (d *decoder) u32() uint32 { v := binary.LittleEndian.Uint32(d.b[d.off:]); d.off += 4; return v }
-func (d *decoder) u64() uint64 { v := binary.LittleEndian.Uint64(d.b[d.off:]); d.off += 8; return v }
-func (d *decoder) f64s(n int) []float64 {
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = math.Float64frombits(d.u64())
-	}
-	return out
-}
-
-func (d *decoder) str() (string, error) {
-	if err := d.need(2); err != nil {
-		return "", err
-	}
-	n := int(d.u16())
-	if n > MaxString {
-		return "", fmt.Errorf("trace: string length %d exceeds %d", n, MaxString)
-	}
-	if err := d.need(n); err != nil {
-		return "", err
-	}
-	s := string(d.b[d.off : d.off+n])
-	d.off += n
-	return s, nil
+	return binfmt.AppendCRC(buf, 0), nil
 }
 
 // Decode parses a canonical binary trace. It is strict: unknown versions,
@@ -147,41 +119,16 @@ func (d *decoder) str() (string, error) {
 // length — a hostile header cannot make Decode allocate more than the
 // input's own size.
 func Decode(b []byte) (*Trace, error) {
-	d := &decoder{b: b}
-	if err := d.need(4 + 2); err != nil {
+	r := binfmt.NewReader("trace", b)
+	if err := r.Header(magic, Version); err != nil {
 		return nil, err
 	}
-	if string(d.b[:4]) != magic {
-		return nil, fmt.Errorf("trace: bad magic %q", d.b[:4])
-	}
-	d.off = 4
-	t := &Trace{Version: int(d.u16())}
-	if t.Version != Version {
-		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", t.Version, Version)
-	}
-	if err := d.need(2 + 2 + 2 + 4 + 4 + 8); err != nil {
+	t := &Trace{Version: Version, NX: int(r.U16()), NU: int(r.U16()), Meta: ReadMeta(r)}
+	nsteps := int(r.U32())
+	t.Energy = r.F64()
+	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	t.NX = int(d.u16())
-	t.NU = int(d.u16())
-	t.Meta.Memory = int(d.u16())
-	t.Meta.TrainEpisodes = int(d.u32())
-	t.Meta.TrainSteps = int(d.u32())
-	t.Meta.TrainSeed = int64(d.u64())
-	var err error
-	if t.Meta.Plant, err = d.str(); err != nil {
-		return nil, err
-	}
-	if t.Meta.Scenario, err = d.str(); err != nil {
-		return nil, err
-	}
-	if t.Meta.Policy, err = d.str(); err != nil {
-		return nil, err
-	}
-	if err := d.need(4 + 8); err != nil {
-		return nil, err
-	}
-	nsteps := int(d.u32())
 	if nsteps > MaxSteps {
 		return nil, fmt.Errorf("trace: %d steps exceeds %d", nsteps, MaxSteps)
 	}
@@ -190,30 +137,21 @@ func Decode(b []byte) (*Trace, error) {
 	}
 	// The header fixes the remaining length exactly; reject before
 	// allocating step storage.
-	rest := 8*t.NX + nsteps*stepSize(t.NX, t.NU) + 4
-	if len(d.b)-d.off-8 != rest {
-		return nil, fmt.Errorf("trace: body length %d does not match header (want %d)", len(d.b)-d.off-8, rest)
+	if rest := 8*t.NX + nsteps*stepSize(t.NX, t.NU) + 4; r.Len() != rest {
+		return nil, fmt.Errorf("trace: body length %d does not match header (want %d)", r.Len(), rest)
 	}
-	t.Energy = math.Float64frombits(d.u64())
-	t.X0 = d.f64s(t.NX)
+	t.X0 = r.F64s(t.NX)
 	t.Steps = make([]Step, nsteps)
 	for i := range t.Steps {
-		flags := d.u8()
-		if flags&^byte(flagKnown) != 0 {
-			return nil, fmt.Errorf("trace: step %d: unknown flag bits 0x%02x", i, flags)
+		f := r.U8()
+		ran, forced, level, ok := UnpackFlags(f)
+		if !ok {
+			return nil, fmt.Errorf("trace: step %d: unknown flag bits 0x%02x", i, f)
 		}
-		t.Steps[i] = Step{
-			Ran:    flags&flagRan != 0,
-			Forced: flags&flagForced != 0,
-			Level:  (flags >> levelShift) & levelMask,
-			W:      d.f64s(t.NX),
-			U:      d.f64s(t.NU),
-			X:      d.f64s(t.NX),
-		}
+		t.Steps[i] = Step{Ran: ran, Forced: forced, Level: level, W: r.F64s(t.NX), U: r.F64s(t.NU), X: r.F64s(t.NX)}
 	}
-	sum := d.u32()
-	if got := crc32.ChecksumIEEE(b[:len(b)-4]); got != sum {
-		return nil, fmt.Errorf("trace: checksum mismatch (stored %08x, computed %08x)", sum, got)
+	if err := binfmt.CheckCRC("trace", b); err != nil {
+		return nil, err
 	}
 	if err := t.Validate(); err != nil {
 		return nil, err

@@ -55,15 +55,7 @@ func (r *Recorder) Append(ran, forced bool, level uint8, w, u, x []float64) erro
 		return fmt.Errorf("trace: Append dims w=%d u=%d x=%d, want %d/%d/%d",
 			len(w), len(u), len(x), r.nx, r.nu, r.nx)
 	}
-	var flags byte
-	if ran {
-		flags |= flagRan
-	}
-	if forced {
-		flags |= flagForced
-	}
-	flags |= (level & levelMask) << levelShift
-	r.flags = append(r.flags, flags)
+	r.flags = append(r.flags, PackFlags(ran, forced, level))
 	r.w = append(r.w, w...)
 	r.u = append(r.u, u...)
 	r.x = append(r.x, x...)
@@ -98,11 +90,11 @@ func (r *Recorder) Trace() *Trace {
 	x := append([]float64(nil), r.x...)
 	t.Steps = make([]Step, n)
 	for i := 0; i < n; i++ {
-		flags := r.flags[i]
+		ran, forced, level, _ := UnpackFlags(r.flags[i])
 		t.Steps[i] = Step{
-			Ran:    flags&flagRan != 0,
-			Forced: flags&flagForced != 0,
-			Level:  (flags >> levelShift) & levelMask,
+			Ran:    ran,
+			Forced: forced,
+			Level:  level,
 			W:      w[i*r.nx : (i+1)*r.nx : (i+1)*r.nx],
 			U:      u[i*r.nu : (i+1)*r.nu : (i+1)*r.nu],
 			X:      x[i*r.nx : (i+1)*r.nx : (i+1)*r.nx],

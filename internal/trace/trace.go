@@ -11,9 +11,16 @@
 // binary encoding is canonical: Encode(Decode(b)) == b for every valid b,
 // a property the FuzzDecodeTrace fuzzer pins, so byte comparison of
 // encoded traces is a valid conformance check across refactors.
+//
+// The byte-level primitives come from internal/binfmt. This package owns
+// the two pieces the artifact and journal formats reuse from it: the
+// engine fingerprint (Meta, with its one codec AppendMeta/ReadMeta and
+// its one bounds check Meta.Validate) and the step-flag byte
+// (PackFlags/UnpackFlags).
 package trace
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -52,6 +59,32 @@ type Meta struct {
 	TrainSeed     int64  `json:"train_seed,omitempty"`
 }
 
+// Validate checks the fingerprint against the wire-format bounds: a
+// plant name, strings within MaxString, memory within [0, MaxDim], and a
+// training budget that fits the u32 fields. It is the one check the
+// trace, artifact and journal formats share; their Validate methods wrap
+// its error with their own name.
+func (m *Meta) Validate() error {
+	if m.Plant == "" {
+		return errors.New("empty plant name")
+	}
+	for _, s := range []struct{ name, v string }{
+		{"plant", m.Plant}, {"scenario", m.Scenario}, {"policy", m.Policy},
+	} {
+		if len(s.v) > MaxString {
+			return fmt.Errorf("%s name exceeds %d bytes", s.name, MaxString)
+		}
+	}
+	if m.Memory < 0 || m.Memory > MaxDim {
+		return fmt.Errorf("memory %d outside [0, %d]", m.Memory, MaxDim)
+	}
+	if m.TrainEpisodes < 0 || m.TrainEpisodes > math.MaxUint32 ||
+		m.TrainSteps < 0 || m.TrainSteps > math.MaxUint32 {
+		return fmt.Errorf("training budget %d×%d outside uint32", m.TrainEpisodes, m.TrainSteps)
+	}
+	return nil
+}
+
 // Step is one recorded control step. X is the successor state; the
 // pre-step state is the previous step's X (or the trace's X0), so states
 // are stored once.
@@ -88,21 +121,8 @@ func (t *Trace) Validate() error {
 	if t.Version != Version {
 		return fmt.Errorf("trace: unsupported version %d (want %d)", t.Version, Version)
 	}
-	if len(t.Meta.Plant) == 0 {
-		return fmt.Errorf("trace: empty plant name")
-	}
-	for _, s := range []struct{ name, v string }{
-		{"plant", t.Meta.Plant}, {"scenario", t.Meta.Scenario}, {"policy", t.Meta.Policy},
-	} {
-		if len(s.v) > MaxString {
-			return fmt.Errorf("trace: %s name exceeds %d bytes", s.name, MaxString)
-		}
-	}
-	if t.Meta.Memory < 0 || t.Meta.Memory > MaxDim {
-		return fmt.Errorf("trace: memory %d outside [0, %d]", t.Meta.Memory, MaxDim)
-	}
-	if t.Meta.TrainEpisodes < 0 || t.Meta.TrainSteps < 0 {
-		return fmt.Errorf("trace: negative training budget")
+	if err := t.Meta.Validate(); err != nil {
+		return fmt.Errorf("trace: %w", err)
 	}
 	if t.NX < 1 || t.NX > MaxDim {
 		return fmt.Errorf("trace: nx %d outside [1, %d]", t.NX, MaxDim)

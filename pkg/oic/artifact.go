@@ -10,6 +10,7 @@ import (
 	"oic/internal/plant"
 	"oic/internal/reach"
 	"oic/internal/rl"
+	"oic/internal/trace"
 )
 
 // Artifact is the persisted form of a compiled engine (DESIGN.md §9):
@@ -124,7 +125,7 @@ func (e *Engine) Artifact() (*Artifact, error) {
 		Version: artifact.Version,
 		NX:      e.NX(),
 		NU:      e.NU(),
-		Meta: artifact.Meta{
+		Meta: trace.Meta{
 			Plant:         cfg.Plant,
 			Scenario:      cfg.Scenario,
 			Policy:        cfg.Policy,

@@ -358,11 +358,11 @@ type TickReport struct {
 	Sessions int `json:"sessions"` // members scheduled this tick
 	Budget   int `json:"compute_budget,omitempty"`
 
-	Skips    int `json:"skips"`    // policy-chosen zero-input steps
-	Computes int `json:"computes"` // full κ computations run (incl. any that failed, see Errors)
-	Forced   int `json:"forced"`   // monitor-mandated computes (⊆ computes)
-	Shed     int `json:"shed"`     // would-be computes converted to safe skips
-	Overrun  int `json:"overrun"`  // forced computes beyond the budget
+	Skips    int `json:"skips"`              // policy-chosen zero-input steps
+	Computes int `json:"computes"`           // full κ computations run (incl. any that failed, see Errors)
+	Forced   int `json:"forced"`             // monitor-mandated computes (⊆ computes)
+	Shed     int `json:"shed"`               // would-be computes converted to safe skips
+	Overrun  int `json:"overrun"`            // forced computes beyond the budget
 	Degraded int `json:"degraded,omitempty"` // computes shed by fault or deadline degradation (⊆ shed)
 
 	// Utilization is computes / budget (0 when the budget is unlimited);
