@@ -212,16 +212,28 @@ func BenchmarkRMPCStep(b *testing.B) {
 	}
 }
 
+// trainedACCPolicy trains a small DRL skipping policy on the ACC's
+// headline (Fig. 4) scenario.
+func trainedACCPolicy(b *testing.B) core.SkipPolicy {
+	b.Helper()
+	p := mustPlant(b, "acc")
+	inst, err := p.Instantiate(p.Headline())
+	if err != nil {
+		b.Fatal(err)
+	}
+	policy, _, err := inst.TrainSkipPolicy(plant.TrainConfig{Episodes: 2, Steps: 20})
+	if err != nil {
+		b.Fatal(err)
+	}
+	return policy
+}
+
 // BenchmarkMonitorAndPolicy measures the skip path: the three-level set
 // membership check plus a DQN forward pass — the paper's 0.02 s/step
 // quantity.
 func BenchmarkMonitorAndPolicy(b *testing.B) {
 	m := sharedACCModel(b)
-	agent, _, err := m.TrainDRL(acc.Fig4Scenario().Profile, acc.TrainConfig{Episodes: 2, Steps: 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	policy := m.DRLPolicy(agent)
+	policy := trainedACCPolicy(b)
 	monitor := core.NewMonitor(m.Sets)
 	rng := rand.New(rand.NewSource(4))
 	pts, err := m.Sets.XPrime.Sample(64, rng.Float64)
@@ -238,17 +250,14 @@ func BenchmarkMonitorAndPolicy(b *testing.B) {
 	}
 }
 
-// BenchmarkDQNInference isolates the neural-network forward pass.
+// BenchmarkDQNInference isolates the policy decision: state encoding
+// plus the neural-network forward pass.
 func BenchmarkDQNInference(b *testing.B) {
-	m := sharedACCModel(b)
-	agent, _, err := m.TrainDRL(acc.Fig4Scenario().Profile, acc.TrainConfig{Episodes: 2, Steps: 20})
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := m.Encode(mat.Vec{150, 40}, []mat.Vec{{0.5, 0}})
+	policy := trainedACCPolicy(b)
+	x, w := mat.Vec{150, 40}, []mat.Vec{{0.5, 0}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		agent.Greedy(s)
+		policy.Decide(i, x, w)
 	}
 }
 
@@ -346,35 +355,37 @@ func BenchmarkMonitorAblation(b *testing.B) {
 // (the paper's default) and r = 4 on the Fig. 4 scenario: reported metrics
 // are the evaluated fuel savings of each trained agent.
 func BenchmarkDQNMemoryAblation(b *testing.B) {
-	m := sharedACCModel(b)
-	sc := acc.Fig4Scenario()
+	p := mustPlant(b, "acc")
+	inst, err := p.Instantiate(p.Headline())
+	if err != nil {
+		b.Fatal(err)
+	}
 	for i := 0; i < b.N; i++ {
 		for _, r := range []int{1, 4} {
-			agent, _, err := m.TrainDRL(sc.Profile, acc.TrainConfig{
+			pol, _, err := inst.TrainSkipPolicy(plant.TrainConfig{
 				Episodes: 120, Memory: r, Seed: 1, // 120 episodes: enough for a representative comparison
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			rng := rand.New(rand.NewSource(5))
-			x0s, err := m.SampleInitialStates(10, rng)
+			x0s, err := inst.SampleInitialStates(10, rng)
 			if err != nil {
 				b.Fatal(err)
 			}
 			var fuelRM, fuelDRL float64
-			pol := m.DRLPolicy(agent)
 			for _, x0 := range x0s {
-				vf := sc.Profile.Generate(rng, 100)
-				epRM, err := m.RunEpisode(core.AlwaysRun{}, x0, vf, nil)
+				w := inst.Disturbances(rng, 100)
+				epRM, err := inst.RunEpisode(core.AlwaysRun{}, x0, w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				epDR, err := m.RunEpisodeWithMemory(pol, x0, vf, nil, r)
+				epDR, err := inst.RunEpisode(pol, x0, w)
 				if err != nil {
 					b.Fatal(err)
 				}
-				fuelRM += epRM.Fuel
-				fuelDRL += epDR.Fuel
+				fuelRM += epRM.Cost
+				fuelDRL += epDR.Cost
 			}
 			saving := 100 * (fuelRM - fuelDRL) / fuelRM
 			if r == 1 {

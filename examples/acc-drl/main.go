@@ -17,6 +17,7 @@ import (
 
 	"oic/internal/acc"
 	"oic/internal/core"
+	"oic/internal/plant"
 )
 
 func main() {
@@ -25,24 +26,23 @@ func main() {
 	flag.Parse()
 
 	fmt.Println("building ACC case study (RMPC, XI = feasible set, X')...")
-	m, err := acc.NewModel(acc.Config{})
+	sc := acc.Fig4Scenario()
+	inst, err := acc.Plant{}.Instantiate(sc.Generic())
 	if err != nil {
 		log.Fatal(err)
 	}
-	sc := acc.Fig4Scenario()
 
 	fmt.Printf("training double DQN on %s for %d episodes...\n", sc.Profile.Name(), *train)
 	t0 := time.Now()
-	agent, stats, err := m.TrainDRL(sc.Profile, acc.TrainConfig{Episodes: *train, Seed: 1})
+	drl, stats, err := inst.TrainSkipPolicy(plant.TrainConfig{Episodes: *train, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("trained in %v (mean episode reward %.4f, final TD-loss EMA %.5f)\n\n",
 		time.Since(t0).Round(time.Millisecond), stats.MeanReward, stats.FinalLossEMA)
 
-	drl := m.DRLPolicy(agent)
 	rng := rand.New(rand.NewSource(7))
-	x0s, err := m.SampleInitialStates(*cases, rng)
+	x0s, err := inst.SampleInitialStates(*cases, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,22 +50,22 @@ func main() {
 	var fuelRM, fuelBB, fuelDRL float64
 	var skips, violations int
 	for _, x0 := range x0s {
-		vf := sc.Profile.Generate(rng, acc.EpisodeSteps)
-		epRM, err := m.RunEpisode(core.AlwaysRun{}, x0, vf, nil)
+		w := inst.Disturbances(rng, acc.EpisodeSteps)
+		epRM, err := inst.RunEpisode(core.AlwaysRun{}, x0, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		epBB, err := m.RunEpisode(core.BangBang{}, x0, vf, nil)
+		epBB, err := inst.RunEpisode(core.BangBang{}, x0, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		epDR, err := m.RunEpisode(drl, x0, vf, nil)
+		epDR, err := inst.RunEpisode(drl, x0, w)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fuelRM += epRM.Fuel
-		fuelBB += epBB.Fuel
-		fuelDRL += epDR.Fuel
+		fuelRM += epRM.Cost
+		fuelBB += epBB.Cost
+		fuelDRL += epDR.Cost
 		skips += epDR.Result.Skips
 		violations += epRM.Result.ViolationsX + epBB.Result.ViolationsX + epDR.Result.ViolationsX
 	}

@@ -22,13 +22,14 @@ import (
 )
 
 func main() {
-	m, err := acc.NewModel(acc.Config{})
+	sc := acc.Fig4Scenario()
+	inst, err := acc.Plant{}.Instantiate(sc.Generic())
 	if err != nil {
 		log.Fatal(err)
 	}
 
 	const maxBudget = 8
-	chain, err := reach.ConsecutiveSkipSets(m.Sets.XI, m.Sys, maxBudget)
+	chain, err := reach.ConsecutiveSkipSets(inst.Sets().XI, inst.System(), maxBudget)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -43,9 +44,8 @@ func main() {
 	}
 
 	// Compare bang-bang with the budget policy that keeps a 2-step margin.
-	sc := acc.Fig4Scenario()
 	rng := rand.New(rand.NewSource(3))
-	x0s, err := m.SampleInitialStates(10, rng)
+	x0s, err := inst.SampleInitialStates(10, rng)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -60,15 +60,14 @@ func main() {
 		var a agg
 		rr := rand.New(rand.NewSource(17))
 		for _, x0 := range x0s {
-			vf := sc.Profile.Generate(rr, acc.EpisodeSteps)
-			ep, err := m.RunEpisode(p, x0, vf, nil)
+			ep, err := inst.RunEpisode(p, x0, inst.Disturbances(rr, acc.EpisodeSteps))
 			if err != nil {
 				log.Fatal(err)
 			}
 			if ep.Result.ViolationsX != 0 {
 				log.Fatalf("%s violated X", p.Name())
 			}
-			a.fuel += ep.Fuel
+			a.fuel += ep.Cost
 			a.energy += ep.Energy
 			a.forced += ep.Result.Forced
 			if mw := core.WindowMisses(ep.Result.Records, 3); mw > a.misses3 {

@@ -7,6 +7,7 @@ import (
 
 	"oic/internal/core"
 	"oic/internal/mat"
+	"oic/internal/plant"
 	"oic/internal/traffic"
 )
 
@@ -24,6 +25,29 @@ func model(t *testing.T) *Model {
 		sharedModel = m
 	}
 	return sharedModel
+}
+
+// instance binds the shared model to sc, whose v_f range must be the
+// paper's [30, 50].
+func instance(t *testing.T, sc Scenario) *Instance {
+	t.Helper()
+	return &Instance{m: model(t), sc: sc}
+}
+
+// constantScenario holds the front vehicle at the nominal speed.
+func constantScenario() Scenario {
+	return Scenario{ID: "const", VfMin: VfMin, VfMax: VfMax, Profile: traffic.Constant{V: 40}}
+}
+
+// drlEnv builds the generic training environment over inst with the
+// ACC's encoder and the paper's reward weights.
+func drlEnv(t *testing.T, inst *Instance, steps, memory int) *plant.Env {
+	t.Helper()
+	env, err := plant.NewEnv(inst, plant.EncoderFromBounds(inst.m.agentBounds()), steps, plant.DefaultW1, plant.DefaultW2, memory)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return env
 }
 
 func TestModelSetNesting(t *testing.T) {
@@ -87,10 +111,9 @@ func TestSampleInitialStatesInsideXPrime(t *testing.T) {
 }
 
 func TestRunEpisodeSafetyAllPolicies(t *testing.T) {
-	m := model(t)
+	inst := instance(t, Fig4Scenario())
 	rng := rand.New(rand.NewSource(2))
-	sc := Fig4Scenario()
-	x0s, err := m.SampleInitialStates(3, rng)
+	x0s, err := inst.SampleInitialStates(3, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,38 +123,37 @@ func TestRunEpisodeSafetyAllPolicies(t *testing.T) {
 		core.PolicyFunc{Fn: func(int, mat.Vec, []mat.Vec) bool { return rng.Float64() < 0.5 }, Label: "random"},
 	}
 	for _, x0 := range x0s {
-		vf := sc.Profile.Generate(rng, EpisodeSteps)
+		w := inst.Disturbances(rng, EpisodeSteps)
 		for _, pol := range policies {
-			ep, err := m.RunEpisode(pol, x0, vf, nil)
+			ep, err := inst.RunEpisode(pol, x0, w)
 			if err != nil {
 				t.Fatalf("%s from %v: %v", pol.Name(), x0, err)
 			}
 			if ep.Result.ViolationsX != 0 || ep.Result.ViolationsXI != 0 {
 				t.Errorf("%s: violations X=%d XI=%d", pol.Name(), ep.Result.ViolationsX, ep.Result.ViolationsXI)
 			}
-			if ep.Fuel <= 0 || ep.Energy < 0 {
-				t.Errorf("%s: fuel=%v energy=%v", pol.Name(), ep.Fuel, ep.Energy)
+			if ep.Cost <= 0 || ep.Energy < 0 {
+				t.Errorf("%s: fuel=%v energy=%v", pol.Name(), ep.Cost, ep.Energy)
 			}
 		}
 	}
 }
 
 func TestRunEpisodePairedComparability(t *testing.T) {
-	m := model(t)
+	inst := instance(t, Fig4Scenario())
 	rng := rand.New(rand.NewSource(3))
-	sc := Fig4Scenario()
-	x0s, _ := m.SampleInitialStates(1, rng)
-	vf := sc.Profile.Generate(rng, EpisodeSteps)
+	x0s, _ := inst.SampleInitialStates(1, rng)
+	w := inst.Disturbances(rng, EpisodeSteps)
 	// Replaying the same episode must be deterministic.
-	a, err := m.RunEpisode(core.BangBang{}, x0s[0], vf, nil)
+	a, err := inst.RunEpisode(core.BangBang{}, x0s[0], w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := m.RunEpisode(core.BangBang{}, x0s[0], vf, nil)
+	b, err := inst.RunEpisode(core.BangBang{}, x0s[0], w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(a.Fuel-b.Fuel) > 1e-12 || a.Result.Skips != b.Result.Skips {
+	if math.Abs(a.Cost-b.Cost) > 1e-12 || a.Result.Skips != b.Result.Skips {
 		t.Error("episode replay not deterministic")
 	}
 }
@@ -139,14 +161,12 @@ func TestRunEpisodePairedComparability(t *testing.T) {
 func TestBangBangSkipsRoughlyPaperRate(t *testing.T) {
 	// The paper reports 79.4/100 skipped steps on the Fig. 4 scenario; our
 	// reproduction should be in the same regime (loose band).
-	m := model(t)
+	inst := instance(t, Fig4Scenario())
 	rng := rand.New(rand.NewSource(4))
-	sc := Fig4Scenario()
-	x0s, _ := m.SampleInitialStates(5, rng)
+	x0s, _ := inst.SampleInitialStates(5, rng)
 	total := 0
 	for _, x0 := range x0s {
-		vf := sc.Profile.Generate(rng, EpisodeSteps)
-		ep, err := m.RunEpisode(core.BangBang{}, x0, vf, nil)
+		ep, err := inst.RunEpisode(core.BangBang{}, x0, inst.Disturbances(rng, EpisodeSteps))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,18 +205,19 @@ func TestScenarioDefinitions(t *testing.T) {
 }
 
 func TestStopAndGoScenarioSafe(t *testing.T) {
-	m := model(t)
-	sc := StopAndGoScenario()
+	inst := instance(t, StopAndGoScenario())
 	rng := rand.New(rand.NewSource(91))
-	vf := sc.Profile.Generate(rng, EpisodeSteps)
-	for _, v := range vf {
+	vf := inst.sc.Profile.Generate(rng, EpisodeSteps)
+	w := make([]mat.Vec, len(vf))
+	for i, v := range vf {
 		if v < VfMin-1e-9 || v > VfMax+1e-9 {
 			t.Fatalf("stop-and-go speed %v outside design range", v)
 		}
+		w[i] = inst.m.Disturbance(v)
 	}
-	x0s, _ := m.SampleInitialStates(2, rng)
+	x0s, _ := inst.SampleInitialStates(2, rng)
 	for _, x0 := range x0s {
-		ep, err := m.RunEpisode(core.BangBang{}, x0, vf, nil)
+		ep, err := inst.RunEpisode(core.BangBang{}, x0, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,8 +249,8 @@ func TestModelForNarrowRange(t *testing.T) {
 }
 
 func TestEncodeFeatures(t *testing.T) {
-	m := model(t)
-	s := m.Encode(mat.Vec{150, 40}, []mat.Vec{{1, 0}})
+	enc := plant.EncoderFromBounds(model(t).agentBounds())
+	s := enc.Encode(mat.Vec{150, 40}, []mat.Vec{{1, 0}})
 	if len(s) != 3 {
 		t.Fatalf("feature dim = %d", len(s))
 	}
@@ -242,11 +263,7 @@ func TestEncodeFeatures(t *testing.T) {
 }
 
 func TestDRLEnvEpisode(t *testing.T) {
-	m := model(t)
-	env, err := NewDRLEnv(m, Fig4Scenario().Profile, 10, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := drlEnv(t, instance(t, Fig4Scenario()), 10, plant.DefaultMemory)
 	if env.StateDim() != 3 {
 		t.Fatalf("state dim = %d", env.StateDim())
 	}
@@ -285,11 +302,7 @@ func TestDRLEnvEpisode(t *testing.T) {
 }
 
 func TestDRLEnvRewardSemantics(t *testing.T) {
-	m := model(t)
-	env, err := NewDRLEnv(m, traffic.Constant{V: 40}, 5, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := drlEnv(t, instance(t, constantScenario()), 5, plant.DefaultMemory)
 	rng := rand.New(rand.NewSource(6))
 	if _, err := env.Reset(rng); err != nil {
 		t.Fatal(err)
@@ -300,7 +313,7 @@ func TestDRLEnvRewardSemantics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r < -DefaultW1-1e-9 {
+	if r < -plant.DefaultW1-1e-9 {
 		t.Errorf("skip reward %v below -w1; energy penalty charged on a skip", r)
 	}
 }
@@ -309,8 +322,8 @@ func TestTrainDRLSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("DRL training is slow")
 	}
-	m := model(t)
-	agent, stats, err := m.TrainDRL(Fig4Scenario().Profile, TrainConfig{Episodes: 6, Steps: 40, Seed: 3})
+	inst := instance(t, Fig4Scenario())
+	pol, stats, err := inst.TrainSkipPolicy(plant.TrainConfig{Episodes: 6, Steps: 40, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,13 +332,54 @@ func TestTrainDRLSmoke(t *testing.T) {
 	}
 	// The policy must be usable by the framework without violations.
 	rng := rand.New(rand.NewSource(7))
-	x0s, _ := m.SampleInitialStates(1, rng)
-	vf := Fig4Scenario().Profile.Generate(rng, 40)
-	ep, err := m.RunEpisode(m.DRLPolicy(agent), x0s[0], vf, nil)
+	x0s, _ := inst.SampleInitialStates(1, rng)
+	ep, err := inst.RunEpisode(pol, x0s[0], inst.Disturbances(rng, 40))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ep.Result.ViolationsX != 0 {
 		t.Errorf("DRL policy violated X %d times", ep.Result.ViolationsX)
+	}
+}
+
+// TestRestoreSkipPolicyChecksBounds: a snapshot restores only under the
+// paper's fixed normalization bounds; a different state centre or scale
+// (not just a different disturbance scale) is rejected, because the
+// restored encoder would use it verbatim.
+func TestRestoreSkipPolicyChecksBounds(t *testing.T) {
+	inst := instance(t, Fig4Scenario())
+	pol, _, err := inst.TrainSkipPolicy(plant.TrainConfig{Episodes: 1, Steps: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func() *plant.PolicySnapshot {
+		snap, err := pol.(plant.SnapshottablePolicy).PolicySnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	restored, err := inst.RestoreSkipPolicy(snapshot())
+	if err != nil {
+		t.Fatalf("restoring an untouched snapshot: %v", err)
+	}
+	rng := rand.New(rand.NewSource(8))
+	xs, _ := inst.SampleInitialStates(16, rng)
+	for i, x := range xs {
+		w := []mat.Vec{inst.m.Disturbance(30 + 20*rng.Float64())}
+		if restored.Decide(i, x, w) != pol.Decide(i, x, w) {
+			t.Fatalf("restored policy decides differently at %v", x)
+		}
+	}
+	for name, mutate := range map[string]func(*plant.PolicySnapshot){
+		"XCenter": func(s *plant.PolicySnapshot) { s.XCenter[0] += 1 },
+		"XScale":  func(s *plant.PolicySnapshot) { s.XScale[1] *= 2 },
+		"WScale":  func(s *plant.PolicySnapshot) { s.WScale[0] /= 2 },
+	} {
+		snap := snapshot()
+		mutate(snap)
+		if _, err := inst.RestoreSkipPolicy(snap); err == nil {
+			t.Errorf("restore accepted a snapshot with a foreign %s", name)
+		}
 	}
 }

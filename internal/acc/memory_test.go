@@ -6,28 +6,37 @@ import (
 
 	"oic/internal/core"
 	"oic/internal/mat"
-	"oic/internal/traffic"
+	"oic/internal/plant"
 )
 
+// probePolicy records the disturbance window the session hands it and
+// declares its memory, as a trained policy does.
+type probePolicy struct {
+	core.PolicyFunc
+	memory int
+}
+
+func (p probePolicy) PolicyMemory() int { return p.memory }
+
 func TestRunEpisodeWithMemoryWindowSize(t *testing.T) {
-	m := model(t)
+	inst := instance(t, constantScenario())
 	rng := rand.New(rand.NewSource(71))
-	x0s, err := m.SampleInitialStates(1, rng)
+	x0s, err := inst.SampleInitialStates(1, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vf := traffic.Constant{V: 40}.Generate(nil, 10)
+	w := inst.Disturbances(nil, 10)
 
 	for _, r := range []int{1, 4} {
 		seen := -1
-		probe := core.PolicyFunc{
+		probe := probePolicy{PolicyFunc: core.PolicyFunc{
 			Fn: func(_ int, _ mat.Vec, wRecent []mat.Vec) bool {
 				seen = len(wRecent)
 				return false
 			},
 			Label: "probe",
-		}
-		ep, err := m.RunEpisodeWithMemory(probe, x0s[0], vf, nil, r)
+		}, memory: r}
+		ep, err := inst.RunEpisode(probe, x0s[0], w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -41,25 +50,21 @@ func TestRunEpisodeWithMemoryWindowSize(t *testing.T) {
 }
 
 func TestEncodeWindowMatchesMemory(t *testing.T) {
-	m := model(t)
+	enc := plant.EncoderFromBounds(model(t).agentBounds())
 	// Encode must accept any window length; dimension = 2 + len(window).
 	for _, r := range []int{1, 2, 4, 8} {
 		w := make([]mat.Vec, r)
 		for i := range w {
 			w[i] = mat.Vec{0, 0}
 		}
-		if got := len(m.Encode(mat.Vec{150, 40}, w)); got != 2+r {
+		if got := len(enc.Encode(mat.Vec{150, 40}, w)); got != 2+r {
 			t.Errorf("r=%d: feature dim %d", r, got)
 		}
 	}
 }
 
 func TestDRLEnvMemoryGreaterThanOne(t *testing.T) {
-	m := model(t)
-	env, err := NewDRLEnv(m, traffic.Constant{V: 40}, 6, 0, 0, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	env := drlEnv(t, instance(t, constantScenario()), 6, 3)
 	if env.StateDim() != 5 {
 		t.Fatalf("state dim = %d, want 5", env.StateDim())
 	}

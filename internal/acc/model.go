@@ -28,7 +28,6 @@ import (
 	"oic/internal/lti"
 	"oic/internal/mat"
 	"oic/internal/poly"
-	"oic/internal/traffic"
 )
 
 // Paper constants (Section IV).
@@ -242,66 +241,4 @@ func (m *Model) Framework(policy core.SkipPolicy, memory int) (*core.Framework, 
 // X′ (the paper picks "feasible initial states within X′").
 func (m *Model) SampleInitialStates(n int, rng *rand.Rand) ([]mat.Vec, error) {
 	return m.Sets.XPrime.Sample(n, rng.Float64)
-}
-
-// Episode is the outcome of one simulated 10-second run.
-type Episode struct {
-	Result *core.Result
-	Fuel   float64   // metered by the traffic fuel model
-	Energy float64   // Σ‖u‖₁ (Problem 1's objective)
-	VF     []float64 // the front-vehicle speed sequence driven against
-}
-
-// RunEpisode executes Algorithm 1 for len(vf) steps from x0 under the given
-// policy, then meters fuel over the resulting trajectory. The same x0 and
-// vf can be replayed against different policies for paired comparisons.
-// The policy sees the paper's default disturbance memory r = 1.
-func (m *Model) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, vf []float64, fm *traffic.FuelModel) (*Episode, error) {
-	return m.RunEpisodeWithMemory(policy, x0, vf, fm, DefaultMemory)
-}
-
-// RunEpisodeWithMemory is RunEpisode with an explicit disturbance-memory
-// length r for the policy (needed when evaluating DRL agents trained with
-// r > 1).
-func (m *Model) RunEpisodeWithMemory(policy core.SkipPolicy, x0 mat.Vec, vf []float64, fm *traffic.FuelModel, memory int) (*Episode, error) {
-	w := make([]mat.Vec, len(vf))
-	for i, v := range vf {
-		w[i] = m.Disturbance(v)
-	}
-	return m.RunEpisodeW(policy, x0, w, vf, fm, memory)
-}
-
-// RunEpisodeW is the disturbance-vector core of RunEpisodeWithMemory: it
-// drives Algorithm 1 with an explicit w trace (as the plant-agnostic
-// harness does) and meters fuel over the resulting trajectory. vf may be
-// nil; it is only recorded on the episode for reference.
-func (m *Model) RunEpisodeW(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec, vf []float64, fm *traffic.FuelModel, memory int) (*Episode, error) {
-	fw, err := m.Framework(policy, memory)
-	if err != nil {
-		return nil, err
-	}
-	sess, err := fw.NewSession(x0)
-	if err != nil {
-		return nil, err
-	}
-	for _, wt := range w {
-		if _, err := sess.Step(wt); err != nil {
-			return nil, fmt.Errorf("acc: RunEpisode (%s): %w", policy.Name(), err)
-		}
-	}
-	res := sess.Result
-	tr := res.Trajectory()
-	speeds := make([]float64, len(tr.States))
-	for i, x := range tr.States {
-		speeds[i] = x[1]
-	}
-	cmds := make([]float64, len(tr.Inputs))
-	for i, u := range tr.Inputs {
-		cmds[i] = u[0]
-	}
-	if fm == nil {
-		fm = traffic.DefaultFuelModel()
-	}
-	fuel, energy := fm.Episode(speeds, cmds, Delta)
-	return &Episode{Result: res, Fuel: fuel, Energy: energy, VF: vf}, nil
 }

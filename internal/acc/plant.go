@@ -3,11 +3,11 @@ package acc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"oic/internal/core"
 	"oic/internal/lti"
 	"oic/internal/mat"
-	"oic/internal/nn"
 	"oic/internal/plant"
 	"oic/internal/rl"
 	"oic/internal/traffic"
@@ -136,71 +136,38 @@ func (in *Instance) Disturbances(rng *rand.Rand, steps int) []mat.Vec {
 	return out
 }
 
-// RunEpisode implements plant.Instance; Cost is metered fuel. The session
-// disturbance window is sized for the policy (plant.PolicyMemory), so
-// agents trained with r > 1 evaluate correctly.
+// RunEpisode implements plant.Instance; Cost is fuel metered by the
+// traffic package's default fuel model over the trajectory.
 func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) (*plant.Episode, error) {
-	ep, err := in.m.RunEpisodeW(policy, x0, w, nil, traffic.DefaultFuelModel(), plant.PolicyMemory(policy))
+	res, err := plant.RunFramework(in, policy, x0, w)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("acc: RunEpisode: %w", err)
 	}
-	return &plant.Episode{Result: ep.Result, Cost: ep.Fuel, Energy: ep.Energy}, nil
+	tr := res.Trajectory()
+	speeds := make([]float64, len(tr.States))
+	for i, x := range tr.States {
+		speeds[i] = x[1]
+	}
+	cmds := make([]float64, len(tr.Inputs))
+	for i, u := range tr.Inputs {
+		cmds[i] = u[0]
+	}
+	fuel, energy := traffic.DefaultFuelModel().Episode(speeds, cmds, Delta)
+	return &plant.Episode{Result: res, Cost: fuel, Energy: energy}, nil
 }
 
-// TrainSkipPolicy implements plant.Instance using the paper's bespoke
-// encoding (Section IV hyper-parameters).
+// agentBounds are the paper's fixed DRL normalization bounds (Section
+// IV): the state is centred on the setpoint (SRef, VE) and scaled by the
+// half-ranges of the safe box, and only the disturbance's first channel
+// is encoded, scaled by the design half-range WScale.
+func (m *Model) agentBounds() (xCenter, xScale, wScale []float64) {
+	return []float64{SRef, VE}, []float64{(SMax - SMin) / 2, (VMax - VMin) / 2}, []float64{m.WScale()}
+}
+
+// TrainSkipPolicy implements plant.Instance via the generic DRL trainer
+// with the paper's fixed normalization bounds.
 func (in *Instance) TrainSkipPolicy(cfg plant.TrainConfig) (core.SkipPolicy, rl.TrainStats, error) {
-	agent, stats, err := in.m.TrainDRL(in.sc.Profile, TrainConfig{
-		Episodes: cfg.Episodes, Steps: cfg.Steps, Seed: cfg.Seed,
-		W1: cfg.W1, W2: cfg.W2, Memory: cfg.Memory,
-	})
-	if err != nil {
-		return nil, stats, err
-	}
-	memory := cfg.Memory
-	if memory <= 0 {
-		memory = DefaultMemory
-	}
-	return accPolicy{m: in.m, net: agent.Policy(), memory: memory}, stats, nil
-}
-
-// accPolicy is the trained ACC skipping policy: the greedy argmax over
-// the Q-network on the paper's bespoke agent state m.Encode(x, w). It
-// holds the network directly so the policy snapshots into an artifact and
-// restores bit-identically, and carries its disturbance-memory length
-// (plant.MemoryPolicy).
-type accPolicy struct {
-	m      *Model
-	net    *nn.MLP
-	memory int
-}
-
-// Decide implements core.SkipPolicy: action 1 ("run κ") iff
-// Q(s, run) > Q(s, skip), matching rl.DDQN.Greedy's strict argmax.
-func (p accPolicy) Decide(_ int, x mat.Vec, wRecent []mat.Vec) bool {
-	q := p.net.Forward(p.m.Encode(x, wRecent))
-	return q[1] > q[0]
-}
-
-// Name implements core.SkipPolicy.
-func (p accPolicy) Name() string { return plant.DRLPolicyLabel }
-
-// PolicyMemory implements plant.MemoryPolicy.
-func (p accPolicy) PolicyMemory() int { return p.memory }
-
-// PolicySnapshot implements plant.SnapshottablePolicy. The ACC's encoder
-// is bespoke — it uses only the disturbance's first component against the
-// scalar WScale — so the snapshot stores a scalar wScale and the paper's
-// fixed state bounds.
-func (p accPolicy) PolicySnapshot() (*plant.PolicySnapshot, error) {
-	return &plant.PolicySnapshot{
-		Label:   plant.DRLPolicyLabel,
-		Memory:  p.memory,
-		Net:     p.net.Snapshot(),
-		XCenter: []float64{SRef, VE},
-		XScale:  []float64{(SMax - SMin) / 2, (VMax - VMin) / 2},
-		WScale:  []float64{p.m.WScale()},
-	}, nil
+	return plant.TrainDRL(in, plant.EncoderFromBounds(in.m.agentBounds()), cfg, EpisodeSteps)
 }
 
 // InstantiateWithSets implements plant.SetsLoader: it binds the scenario
@@ -218,33 +185,18 @@ func (Plant) InstantiateWithSets(gsc plant.Scenario, sets core.SafetySets) (plan
 	return &Instance{m: m, sc: sc}, nil
 }
 
-// RestoreSkipPolicy implements plant.PolicyRestorer: it rebuilds the
-// trained ACC policy from its snapshot without retraining. The stored
-// wScale must match this model's — a mismatch means the snapshot was
-// taken on a different v_f design range and would silently misnormalize.
+// RestoreSkipPolicy implements plant.PolicyRestorer via the generic DRL
+// restore. The stored normalization bounds must equal this model's: a
+// mismatch means the snapshot was taken on a different v_f design range
+// (or by a different encoder) and would silently misnormalize.
 func (in *Instance) RestoreSkipPolicy(snap *plant.PolicySnapshot) (core.SkipPolicy, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("acc: RestoreSkipPolicy: nil snapshot")
 	}
-	if snap.Label != plant.DRLPolicyLabel {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: unknown policy label %q", snap.Label)
+	xCenter, xScale, wScale := in.m.agentBounds()
+	if !slices.Equal(snap.XCenter, xCenter) || !slices.Equal(snap.XScale, xScale) || !slices.Equal(snap.WScale, wScale) {
+		return nil, fmt.Errorf("acc: RestoreSkipPolicy: snapshot bounds %v/%v/%v, model expects %v/%v/%v",
+			snap.XCenter, snap.XScale, snap.WScale, xCenter, xScale, wScale)
 	}
-	if snap.Memory < 1 {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: memory %d < 1", snap.Memory)
-	}
-	if len(snap.WScale) != 1 || snap.WScale[0] != in.m.WScale() {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: snapshot wScale %v, model expects [%g]",
-			snap.WScale, in.m.WScale())
-	}
-	net, err := nn.FromSnapshot(snap.Net)
-	if err != nil {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: %w", err)
-	}
-	if want := 2 + snap.Memory; net.Sizes[0] != want {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: network input %d, encoder expects %d", net.Sizes[0], want)
-	}
-	if net.Sizes[len(net.Sizes)-1] != 2 {
-		return nil, fmt.Errorf("acc: RestoreSkipPolicy: network has %d outputs, want 2", net.Sizes[len(net.Sizes)-1])
-	}
-	return accPolicy{m: in.m, net: net, memory: snap.Memory}, nil
+	return plant.RestoreDRLPolicy(snap)
 }

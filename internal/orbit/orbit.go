@@ -293,7 +293,11 @@ func (in *Instance) RunEpisode(policy core.SkipPolicy, x0 mat.Vec, w []mat.Vec) 
 
 // TrainSkipPolicy implements plant.Instance via the generic DRL trainer.
 func (in *Instance) TrainSkipPolicy(cfg plant.TrainConfig) (core.SkipPolicy, rl.TrainStats, error) {
-	return plant.TrainDRL(in, cfg, EpisodeSteps)
+	enc, err := plant.NewEncoder(in)
+	if err != nil {
+		return nil, rl.TrainStats{}, err
+	}
+	return plant.TrainDRL(in, enc, cfg, EpisodeSteps)
 }
 
 // InstantiateWithSets implements plant.SetsLoader: the artifact-load path

@@ -4,13 +4,12 @@ import (
 	"fmt"
 
 	"oic/internal/core"
-	"oic/internal/mat"
 	"oic/internal/nn"
 )
 
 // DRLPolicyLabel is the canonical name of a trained DRL skipping policy
-// — shared by the generic trainer, the plants' bespoke trainers, and the
-// artifact restore paths so snapshots round-trip under one label.
+// — shared by the trainer and the artifact restore path so snapshots
+// round-trip under one label.
 const DRLPolicyLabel = "drl-ddqn"
 
 // PolicySnapshot is the persistable form of a trained skipping policy:
@@ -54,10 +53,8 @@ type PolicyRestorer interface {
 // RestoreDRLPolicy rebuilds the generic trained policy from a snapshot:
 // the restored encoder uses the stored bounds verbatim and the restored
 // network the stored parameters verbatim, so Decide computes the same
-// float64s as the policy the snapshot was taken from. Plants whose
-// TrainSkipPolicy delegates to TrainDRL implement RestoreSkipPolicy by
-// delegating here; plants with a bespoke encoder (the ACC) restore their
-// own policy type instead.
+// float64s as the policy the snapshot was taken from. Every plant
+// implements RestoreSkipPolicy by delegating here.
 func RestoreDRLPolicy(snap *PolicySnapshot) (core.SkipPolicy, error) {
 	if snap == nil {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: nil snapshot")
@@ -76,11 +73,7 @@ func RestoreDRLPolicy(snap *PolicySnapshot) (core.SkipPolicy, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: %w", err)
 	}
-	enc := &Encoder{
-		xCenter: append(mat.Vec(nil), snap.XCenter...),
-		xScale:  append(mat.Vec(nil), snap.XScale...),
-		wScale:  append(mat.Vec(nil), snap.WScale...),
-	}
+	enc := EncoderFromBounds(snap.XCenter, snap.XScale, snap.WScale)
 	if want := enc.StateDim(snap.Memory); net.Sizes[0] != want {
 		return nil, fmt.Errorf("plant: RestoreDRLPolicy: network input %d, encoder expects %d", net.Sizes[0], want)
 	}

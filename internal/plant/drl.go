@@ -43,15 +43,27 @@ func (c TrainConfig) withDefaults(defaultSteps int) TrainConfig {
 }
 
 // Encoder normalizes (state, recent disturbances) into the paper's agent
-// state s(t) = {x(t), w(t−r+1), …, w(t)} with O(1) feature ranges. Center
-// and scale come from the bounding boxes of the safe set X and the
-// disturbance set W, so it applies to any plant.
+// state s(t) = {x(t), w(t−r+1), …, w(t)} with O(1) feature ranges: each
+// state coordinate is centred and scaled, and each disturbance channel the
+// encoder has a scale for is scaled. Channels beyond len(wScale) are left
+// out (the ACC's flat second channel).
 type Encoder struct {
 	xCenter, xScale mat.Vec
 	wScale          mat.Vec
 }
 
-// NewEncoder derives normalization from the instance's constraint sets.
+// EncoderFromBounds builds an encoder from explicit normalization bounds;
+// it copies the slices.
+func EncoderFromBounds(xCenter, xScale, wScale []float64) *Encoder {
+	return &Encoder{
+		xCenter: append(mat.Vec(nil), xCenter...),
+		xScale:  append(mat.Vec(nil), xScale...),
+		wScale:  append(mat.Vec(nil), wScale...),
+	}
+}
+
+// NewEncoder derives normalization from the bounding boxes of the
+// instance's safe set X and disturbance set W.
 func NewEncoder(inst Instance) (*Encoder, error) {
 	sys := inst.System()
 	if sys.X == nil || sys.W == nil {
@@ -61,22 +73,19 @@ func NewEncoder(inst Instance) (*Encoder, error) {
 	if err != nil {
 		return nil, fmt.Errorf("plant: NewEncoder: X bounding box: %w", err)
 	}
-	e := &Encoder{
-		xCenter: make(mat.Vec, len(lo)),
-		xScale:  make(mat.Vec, len(lo)),
-	}
+	xCenter, xScale := make(mat.Vec, len(lo)), make(mat.Vec, len(lo))
 	for i := range lo {
-		e.xCenter[i] = (lo[i] + hi[i]) / 2
-		e.xScale[i] = (hi[i] - lo[i]) / 2
-		if e.xScale[i] <= 0 {
-			e.xScale[i] = 1
+		xCenter[i] = (lo[i] + hi[i]) / 2
+		xScale[i] = (hi[i] - lo[i]) / 2
+		if xScale[i] <= 0 {
+			xScale[i] = 1
 		}
 	}
 	wlo, whi, err := sys.W.BoundingBox()
 	if err != nil {
 		return nil, fmt.Errorf("plant: NewEncoder: W bounding box: %w", err)
 	}
-	e.wScale = make(mat.Vec, len(wlo))
+	wScale := make(mat.Vec, len(wlo))
 	for i := range wlo {
 		s := whi[i]
 		if d := -wlo[i]; d > s {
@@ -85,9 +94,9 @@ func NewEncoder(inst Instance) (*Encoder, error) {
 		if s <= 0 {
 			s = 1 // flat disturbance direction (e.g. the ACC's second channel)
 		}
-		e.wScale[i] = s
+		wScale[i] = s
 	}
-	return e, nil
+	return EncoderFromBounds(xCenter, xScale, wScale), nil
 }
 
 // StateDim returns the encoded feature count for memory recent disturbances.
@@ -100,8 +109,8 @@ func (e *Encoder) Encode(x mat.Vec, wRecent []mat.Vec) mat.Vec {
 		out = append(out, (xi-e.xCenter[i])/e.xScale[i])
 	}
 	for _, w := range wRecent {
-		for i, wi := range w {
-			out = append(out, wi/e.wScale[i])
+		for i, s := range e.wScale {
+			out = append(out, w[i]/s)
 		}
 	}
 	return out
@@ -125,12 +134,9 @@ type Env struct {
 	t    int
 }
 
-// NewEnv builds a training environment over inst with episode length steps.
-func NewEnv(inst Instance, steps int, w1, w2 float64, memory int) (*Env, error) {
-	enc, err := NewEncoder(inst)
-	if err != nil {
-		return nil, err
-	}
+// NewEnv builds a training environment over inst with episode length
+// steps, encoding agent states with enc.
+func NewEnv(inst Instance, enc *Encoder, steps int, w1, w2 float64, memory int) (*Env, error) {
 	// The framework policy is never consulted — the agent supplies choices
 	// through StepWithChoice. BangBang is a placeholder.
 	fw, err := inst.Framework(core.BangBang{}, memory)
@@ -187,11 +193,11 @@ func (e *Env) Step(action int) (mat.Vec, float64, bool, error) {
 }
 
 // TrainDRL trains a double-DQN skipping agent for inst with the paper's
-// setup, generically over any plant: plants without a bespoke trainer
-// implement TrainSkipPolicy by delegating here.
-func TrainDRL(inst Instance, cfg TrainConfig, defaultSteps int) (core.SkipPolicy, rl.TrainStats, error) {
+// setup, its agent states normalized by enc. Every plant implements
+// TrainSkipPolicy by delegating here.
+func TrainDRL(inst Instance, enc *Encoder, cfg TrainConfig, defaultSteps int) (core.SkipPolicy, rl.TrainStats, error) {
 	cfg = cfg.withDefaults(defaultSteps)
-	env, err := NewEnv(inst, cfg.Steps, cfg.W1, cfg.W2, cfg.Memory)
+	env, err := NewEnv(inst, enc, cfg.Steps, cfg.W1, cfg.W2, cfg.Memory)
 	if err != nil {
 		return nil, rl.TrainStats{}, err
 	}

@@ -3,6 +3,7 @@ package oic
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"oic/internal/artifact"
 	"oic/internal/core"
@@ -135,12 +136,12 @@ func (e *Engine) Artifact() (*Artifact, error) {
 			TrainSeed:     cfg.Train.Seed,
 		},
 		Sets:  artifact.Sets{X: sets.X, XI: sets.XI, XPrime: sets.XPrime},
-		Chain: sb.Sets(),
+		Chain: slices.Clone(sb.Sets()),
 		Train: artifact.TrainStats{
 			Episodes:      e.train.Episodes,
 			TotalSteps:    e.train.TotalSteps,
 			MeanReward:    e.train.MeanReward,
-			RewardHistory: e.train.RewardHistory,
+			RewardHistory: slices.Clone(e.train.RewardHistory),
 			FinalEpsilon:  e.train.FinalEpsilon,
 			FinalLossEMA:  e.train.FinalLossEMA,
 		},
@@ -220,6 +221,13 @@ func LoadEngine(a *Artifact) (*Engine, error) {
 	case PolicyDRL:
 		if a.Policy == nil {
 			return nil, fmt.Errorf("%w: DRL config but no policy snapshot", ErrArtifactMismatch)
+		}
+		// The encoder normalizes every state coordinate and at most one
+		// scale per disturbance channel; bounds that do not fit the plant
+		// would index past x or w on the first step.
+		if len(a.Policy.XCenter) != a.NX || len(a.Policy.WScale) < 1 || len(a.Policy.WScale) > a.NX {
+			return nil, fmt.Errorf("%w: policy bounds cover %d state and %d disturbance channels, plant has %d",
+				ErrArtifactMismatch, len(a.Policy.XCenter), len(a.Policy.WScale), a.NX)
 		}
 		pr, ok := inst.(plant.PolicyRestorer)
 		if !ok {

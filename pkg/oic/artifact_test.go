@@ -3,9 +3,11 @@ package oic
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"testing"
 
+	"oic/internal/artifact"
 	"oic/internal/trace"
 )
 
@@ -200,5 +202,89 @@ func TestLoadEngineRejectsMismatch(t *testing.T) {
 	a.Policy.WScale = []float64{12345} // wrong normalization for this scenario
 	if _, err := LoadEngine(a); !errors.Is(err, ErrArtifactMismatch) {
 		t.Errorf("wrong policy bounds: got %v, want ErrArtifactMismatch", err)
+	}
+}
+
+// withInputs returns a copy of p whose first layer takes n inputs: each
+// row of the row-major weight matrix is truncated or zero-padded.
+func withInputs(p *artifact.Policy, n int) *artifact.Policy {
+	q := *p
+	q.Sizes = append([]int(nil), p.Sizes...)
+	q.Sizes[0] = n
+	q.Weights = append([][]float64(nil), p.Weights...)
+	c := p.Sizes[0]
+	w := make([]float64, 0, p.Sizes[1]*n)
+	for r := 0; r < p.Sizes[1]; r++ {
+		row := make([]float64, n)
+		copy(row, p.Weights[0][r*c:(r+1)*c])
+		w = append(w, row...)
+	}
+	q.Weights[0] = w
+	return &q
+}
+
+// TestLoadEngineRejectsMisfitPolicyBounds: a DRL artifact whose encoder
+// bounds do not fit the plant (a state bound missing, or more
+// disturbance scales than the plant has disturbance channels) is
+// internally consistent, so it passes Validate; LoadEngine must still
+// reject it, or the engine's first step indexes past the state or the
+// disturbance.
+func TestLoadEngineRejectsMisfitPolicyBounds(t *testing.T) {
+	for _, name := range []string{"acc-drl", "thermo-drl", "orbit-drl"} {
+		b, err := os.ReadFile(goldenArtifactPath(name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, mut := range []string{"short XCenter", "long WScale"} {
+			t.Run(fmt.Sprintf("%s/%s", name, mut), func(t *testing.T) {
+				a, err := DecodeArtifact(b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := a.Policy
+				switch mut {
+				case "short XCenter":
+					p = withInputs(p, p.Sizes[0]-1)
+					p.XCenter = p.XCenter[:len(p.XCenter)-1]
+					p.XScale = p.XScale[:len(p.XScale)-1]
+				case "long WScale":
+					extra := a.NX + 1 - len(p.WScale)
+					p = withInputs(p, p.Sizes[0]+p.Memory*extra)
+					for i := 0; i < extra; i++ {
+						p.WScale = append(p.WScale, 1)
+					}
+				}
+				a.Policy = p
+				if err := a.Validate(); err != nil {
+					t.Fatalf("mutated artifact must stay self-consistent: %v", err)
+				}
+				if _, err := LoadEngine(a); !errors.Is(err, ErrArtifactMismatch) {
+					t.Errorf("LoadEngine = %v, want ErrArtifactMismatch", err)
+				}
+			})
+		}
+	}
+}
+
+// TestArtifactSharesNoMutableState: editing a returned artifact's chain
+// or reward history leaves the engine, and its next artifact, untouched.
+func TestArtifactSharesNoMutableState(t *testing.T) {
+	eng := goldenEngine(t, goldenCases[1].cfg) // acc-drl
+	a, err := eng.Artifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Chain) == 0 || len(a.Train.RewardHistory) == 0 {
+		t.Fatal("acc-drl artifact lacks a chain or reward history")
+	}
+	chain0, reward0 := a.Chain[0], a.Train.RewardHistory[0]
+	a.Chain[0] = a.Chain[0].Scale(10)
+	a.Train.RewardHistory[0]++
+	b, err := eng.Artifact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Chain[0] != chain0 || b.Train.RewardHistory[0] != reward0 {
+		t.Error("editing an artifact changed the engine it was taken from")
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"oic/internal/artifact"
 	"oic/internal/trace"
 )
 
@@ -77,6 +78,12 @@ func goldenEngine(t testing.TB, cfg Config) *Engine {
 }
 
 func goldenPath(name string) string { return filepath.Join(goldenDir, name+".oict") }
+
+// goldenArtifactPath locates the committed artifact of a golden case in
+// the artifact corpus, which pins the same six engines.
+func goldenArtifactPath(name string) string {
+	return filepath.Join("..", "..", "internal", "artifact", "testdata", "golden", name+artifact.Ext)
+}
 
 // recordGolden runs the case's seeded episode with tracing on and
 // returns the trace — the exact recipe a client would use to produce a
@@ -179,6 +186,36 @@ func TestGoldenTraceConformance(t *testing.T) {
 			}
 			if string(b) != string(want) {
 				t.Errorf("re-recorded episode differs from committed golden bytes (%d vs %d bytes)", len(b), len(want))
+			}
+		})
+	}
+}
+
+// TestFreshEnginesReproduceGoldenArtifacts: an engine built from scratch
+// (set synthesis and, for DRL, training) encodes to the committed
+// artifact byte for byte. This pins what the trace corpus does not: the
+// trained weights, the encoder's normalization bounds, the reward history
+// and every compiled set.
+func TestFreshEnginesReproduceGoldenArtifacts(t *testing.T) {
+	if *updateGolden {
+		t.Skip("regenerating")
+	}
+	for _, gc := range goldenCases {
+		t.Run(gc.name, func(t *testing.T) {
+			a, err := goldenEngine(t, gc.cfg).Artifact()
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := EncodeArtifact(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := os.ReadFile(goldenArtifactPath(gc.name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(b) != string(want) {
+				t.Errorf("fresh engine's artifact differs from committed golden bytes (%d vs %d bytes)", len(b), len(want))
 			}
 		})
 	}
